@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import OneDimStructure, ReactionNetwork
+from .network import OneDimStructure, ReactionNetwork, pair_sign_data
 
 RIGHT = "right"
 LEFT = "left"
@@ -33,25 +33,28 @@ class ArrowDiagram:
 
 
 @dataclass(frozen=True)
-class DiagramPairs:
-    """Signed triples (species k, reaction i, reaction j), all 1-based.
-
-    ``i`` runs over reactions moving along gamma, ``j`` against it.
-    ``right_left`` collects negative products (k rises under i at the lower
-    reactant level), ``left_right`` positive ones.
-    """
-
-    right_left: tuple[tuple[int, int, int], ...]
-    left_right: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class AdReport:
-    """Bi-arrow count: total, per-species breakdown, and signed triples."""
+    """Bi-arrow count: total, per-species breakdown, and signed triples.
+
+    Each triple is (species k, reaction i, reaction j, sign), all indices
+    1-based, with ``i`` moving along gamma and ``j`` against it.
+    """
 
     total: int
     per_species: tuple[int, ...]
     triples: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def left_right(self) -> tuple[tuple[int, int, int], ...]:
+        """(k, i, j) of the positive triples: k rises under i at the higher
+        reactant level."""
+        return tuple((k, i, j) for k, i, j, sign in self.triples if sign > 0)
+
+    @property
+    def right_left(self) -> tuple[tuple[int, int, int], ...]:
+        """(k, i, j) of the negative triples: k rises under i at the lower
+        reactant level."""
+        return tuple((k, i, j) for k, i, j, sign in self.triples if sign < 0)
 
 
 def one_species_diagram(net: ReactionNetwork) -> ArrowDiagram:
@@ -67,37 +70,20 @@ def one_species_diagram(net: ReactionNetwork) -> ArrowDiagram:
     return ArrowDiagram(tuple(levels), tuple(glyphs))
 
 
-def _signed_triples(net: ReactionNetwork, struct: OneDimStructure):
-    """Yield (k, i, j, sign) over permuted order, reported with 1-based user indices."""
-    m = net.num_reactions
-    for kp in range(net.num_species):
-        k = struct.species_perm[kp]
-        for ip in range(struct.t):
-            i = struct.reaction_perm[ip]
-            ri = net.reactions[i]
-            rise = ri.product[k] - ri.reactant[k]
-            if rise == 0:
-                continue
-            for jp in range(struct.t, m):
-                j = struct.reaction_perm[jp]
-                product = (ri.reactant[k] - net.reactions[j].reactant[k]) * rise
-                if product != 0:
-                    yield k + 1, i + 1, j + 1, 1 if product > 0 else -1
-
-
-def diagram_pair_witnesses(net: ReactionNetwork, struct: OneDimStructure) -> DiagramPairs:
-    """All species/reaction-pair triples whose embedded diagram is one-sided."""
-    right_left = []
-    left_right = []
-    for k, i, j, sign in _signed_triples(net, struct):
-        (left_right if sign > 0 else right_left).append((k, i, j))
-    return DiagramPairs(tuple(right_left), tuple(left_right))
-
-
 def ad_count(net: ReactionNetwork, struct: OneDimStructure) -> AdReport:
-    """Count signed diagram triples; the total is the bi-arrow number."""
-    triples = tuple(_signed_triples(net, struct))
+    """Count signed diagram triples; the total is the bi-arrow number.
+
+    Triples are listed over the permuted species and reaction orders and
+    reported with 1-based user indices.
+    """
+    opposed = struct.opposed_pairs()
+    sign_data = [pair_sign_data(net, i, j) for i, j in opposed]
+    triples = []
     per = [0] * net.num_species
-    for k, _i, _j, _sign in triples:
-        per[k - 1] += 1
-    return AdReport(total=len(triples), per_species=tuple(per), triples=triples)
+    for k in struct.species_perm:
+        for (i, j), (alphas, gammas) in zip(opposed, sign_data):
+            product = alphas[k] * gammas[k]
+            if product != 0:
+                triples.append((k + 1, i + 1, j + 1, 1 if product > 0 else -1))
+                per[k] += 1
+    return AdReport(total=len(triples), per_species=tuple(per), triples=tuple(triples))

@@ -23,14 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrows import (
-    AdReport,
-    BOTH,
-    DiagramPairs,
-    ad_count,
-    diagram_pair_witnesses,
-    one_species_diagram,
-)
+from .arrows import AdReport, BOTH, ad_count, one_species_diagram
 from .network import (
     CrnError,
     EssentialEmpty,
@@ -40,6 +33,7 @@ from .network import (
     ReactionNetwork,
     essential_sets,
     one_dim_structure,
+    pair_sign_data,
     parse_network,
     reduce_to_essential,
 )
@@ -118,9 +112,7 @@ def bi_profile(net: ReactionNetwork, struct: OneDimStructure) -> BiReactionProfi
     """Sign profile of a two-reaction network (first reaction is the base)."""
     if net.num_reactions != 2:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
-    r1, r2 = net.reactions
-    alphas = tuple(r1.reactant[k] - r2.reactant[k] for k in range(net.num_species))
-    gammas = struct.gamma_user()
+    alphas, gammas = pair_sign_data(net, 0, 1)
     return _profile_from_sign_data(alphas, gammas, struct.lambda_user()[1])
 
 
@@ -247,7 +239,7 @@ def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
 
 @dataclass(frozen=True)
 class TwoReactionReport:
-    """Nondegenerate-pair criterion for a bi-reaction network."""
+    """Nondegenerate-pair criterion for an opposed reaction pair."""
 
     nondegenerate_multistationary: bool
     products: tuple[int, ...]
@@ -256,20 +248,23 @@ class TwoReactionReport:
 
 def two_nondeg_bi(net: ReactionNetwork, struct: OneDimStructure) -> TwoReactionReport:
     """Decide whether a bi-reaction network admits two nondegenerate
-    positive steady states on some invariant line.
-
-    The per-species products ``(alpha_k1 - alpha_k2) * gamma_k`` must take
-    both signs, excluding the exceptional cancellation when exactly one
-    species is active on each side.
+    positive steady states on some invariant line (see :func:`nondeg_pair`).
     """
     if net.num_reactions != 2:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
     if struct.lambda_user()[1] > 0:
         raise LambdaNotOpposed("both multipliers are positive")
-    r1, r2 = net.reactions
-    gamma = struct.gamma_user()
-    alphas = [r1.reactant[k] - r2.reactant[k] for k in range(net.num_species)]
-    products = tuple(a * g for a, g in zip(alphas, gamma))
+    return nondeg_pair(*pair_sign_data(net, 0, 1))
+
+
+def nondeg_pair(alphas, gammas) -> TwoReactionReport:
+    """Nondegenerate-pair criterion on the sign data of an opposed pair.
+
+    The per-species products ``(alpha_k1 - alpha_k2) * gamma_k`` must take
+    both signs, excluding the exceptional cancellation when exactly one
+    species is active on each side.
+    """
+    products = tuple(a * g for a, g in zip(alphas, gammas))
     pos = [k for k, p in enumerate(products) if p > 0]
     neg = [k for k, p in enumerate(products) if p < 0]
     if not pos or not neg:
@@ -295,9 +290,8 @@ def necessary_pair_test(net: ReactionNetwork, struct: OneDimStructure, ad: AdRep
     parameter capacity is finite; a network with infinite capacity can still
     carry degenerate continua.
     """
-    has_pos = any(sign > 0 for *_ijk, sign in ad.triples)
-    has_neg = any(sign < 0 for *_ijk, sign in ad.triples)
-    if has_pos and has_neg:
+    has_pos = bool(ad.left_right)
+    if has_pos and ad.right_left:
         return TestReport(True, "one-sided embedded diagrams occur with both orientations")
     missing = "left-right" if not has_pos else "right-left"
     return TestReport(
@@ -334,14 +328,6 @@ class SufficientCertificate:
     note: str
 
 
-def _pair_sign_data(net: ReactionNetwork, i: int, j: int):
-    """(alphas, gammas) of the two-reaction subnetwork (i, j), user order."""
-    ri, rj = net.reactions[i], net.reactions[j]
-    alphas = tuple(ri.reactant[k] - rj.reactant[k] for k in range(net.num_species))
-    gammas = ri.change
-    return alphas, gammas
-
-
 def _pair_is_finite(alphas, gammas) -> bool:
     """A pair has finite capacity iff some side's signed alpha total is nonzero."""
     up = sum(a for a, g in zip(alphas, gammas) if g > 0)
@@ -349,28 +335,25 @@ def _pair_is_finite(alphas, gammas) -> bool:
     return up != 0 or down != 0
 
 
-def sufficient_two_test(net: ReactionNetwork, struct: OneDimStructure) -> SufficientCertificate | None:
+def sufficient_two_test(
+    net: ReactionNetwork, struct: OneDimStructure, ad: AdReport
+) -> SufficientCertificate | None:
     """Find an opposed pair with positive finite capacity, if any.
 
     Scans pairs in permuted lexicographic order and returns the first hit;
     ``satisfied`` also requires the pair-diagram necessary test, which is
     what turns the certificate into a two-state guarantee.
     """
-    m = net.num_reactions
-    ad = ad_count(net, struct)
     necessary = necessary_pair_test(net, struct, ad)
-    for ip in range(struct.t):
-        for jp in range(struct.t, m):
-            i, j = struct.reaction_perm[ip], struct.reaction_perm[jp]
-            alphas, gammas = _pair_sign_data(net, i, j)
-            if _pair_is_finite(alphas, gammas):
-                return SufficientCertificate(
-                    pair=(i + 1, j + 1),
-                    necessary_pair_passes=necessary.passes,
-                    satisfied=necessary.passes,
-                    note="pair capacity is positive and finite; with the pair "
-                    "test this yields two positive steady states for tuned rates",
-                )
+    for i, j in struct.opposed_pairs():
+        if _pair_is_finite(*pair_sign_data(net, i, j)):
+            return SufficientCertificate(
+                pair=(i + 1, j + 1),
+                necessary_pair_passes=necessary.passes,
+                satisfied=necessary.passes,
+                note="pair capacity is positive and finite; with the pair "
+                "test this yields two positive steady states for tuned rates",
+            )
     return None
 
 
@@ -387,7 +370,6 @@ class Report:
     network: ReactionNetwork
     structure: OneDimStructure
     essential: EssentialSets
-    pairs: DiagramPairs
     ad: AdReport
     necessary_pair: TestReport
     necessary_three: TestReport
@@ -400,7 +382,7 @@ class Report:
     warnings: tuple[Notice, ...]
 
 
-def _canonical_key(net: ReactionNetwork):
+def canonical_key(net: ReactionNetwork):
     """Isomorphism key: minimal coefficient table over species and reaction
     relabelings.  Intended for small networks (the known-issue registry and
     the enumerator)."""
@@ -435,7 +417,7 @@ _KNOWN_ISSUES: dict = {}
 
 def _known_issue_registry() -> dict:
     if not _KNOWN_ISSUES:
-        _KNOWN_ISSUES[_canonical_key(parse_network(_W1_TEXT))] = Notice(
+        _KNOWN_ISSUES[canonical_key(parse_network(_W1_TEXT))] = Notice(
             id="reference-witness-mismatch",
             message="a commonly quoted two-state witness for this network "
             "(rates (1, 9, 1), conservation constant 0.5) does not satisfy its "
@@ -443,7 +425,7 @@ def _known_issue_registry() -> dict:
             "x1*x2^2 - 9*x1^2 + x2^2 = 0 instead. Witnesses here are derived "
             "independently and verified numerically.",
         )
-        _KNOWN_ISSUES[_canonical_key(parse_network(_W2_TEXT))] = Notice(
+        _KNOWN_ISSUES[canonical_key(parse_network(_W2_TEXT))] = Notice(
             id="reference-claim-mismatch",
             message="this network is sometimes claimed to admit no "
             "multistationarity; the certificate test disagrees. A degenerate "
@@ -459,7 +441,7 @@ def known_issue_warnings(net: ReactionNetwork) -> tuple[Notice, ...]:
     """Warnings for networks matching the registry up to relabeling."""
     if net.num_species > 6 or net.num_reactions > 4:
         return ()
-    hit = _known_issue_registry().get(_canonical_key(net))
+    hit = _known_issue_registry().get(canonical_key(net))
     return (hit,) if hit else ()
 
 
@@ -524,11 +506,10 @@ def classify(net: ReactionNetwork) -> Report:
     """
     struct = one_dim_structure(net)
     sets = essential_sets(net, struct)
-    pairs = diagram_pair_witnesses(net, struct)
     ad = ad_count(net, struct)
     necessary = necessary_pair_test(net, struct, ad)
     three = necessary_three_test(ad)
-    cert = sufficient_two_test(net, struct)
+    cert = sufficient_two_test(net, struct, ad)
     profile = None
     two_report = None
     if net.num_reactions == 2:
@@ -553,7 +534,6 @@ def classify(net: ReactionNetwork) -> Report:
         network=net,
         structure=struct,
         essential=sets,
-        pairs=pairs,
         ad=ad,
         necessary_pair=necessary,
         necessary_three=three,

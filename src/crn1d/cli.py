@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from multiprocessing import Pool
 
-from .classify import NotBiReaction, Report, _canonical_key, classify
+from .classify import NotBiReaction, Report, canonical_key, classify
 from .network import (
     CrnError,
     NotOneDimensional,
@@ -38,10 +38,10 @@ from .network import (
     ReactionNetwork,
     ZeroBaseDirection,
     format_network,
-    one_dim_structure,
+    pair_sign_data,
     parse_network,
 )
-from .numeric import DimensionMismatch, GProblem, OutOfDomain, eval_g, verify_witness
+from .numeric import DimensionMismatch, GProblem, NumericOverflow, OutOfDomain, eval_g, verify_witness
 from .witness import GoalUnattainable, Witness, witness_three, witness_two_general
 
 SCHEMA_VERSION = "1"
@@ -132,10 +132,10 @@ def _essential_section(sets) -> dict:
     }
 
 
-def _diagram_section(pairs, ad) -> dict:
+def _diagram_section(ad) -> dict:
     return {
-        "right_left": [list(p) for p in pairs.right_left],
-        "left_right": [list(p) for p in pairs.left_right],
+        "right_left": [list(p) for p in ad.right_left],
+        "left_right": [list(p) for p in ad.left_right],
         "ad": {
             "total": ad.total,
             "per_species": list(ad.per_species),
@@ -258,7 +258,7 @@ def _analyze_doc(report: Report, command: str) -> dict:
         "network": _network_section(report.network),
         "structure": _structure_section(report.structure),
         "essential": _essential_section(report.essential),
-        "diagrams": _diagram_section(report.pairs, report.ad),
+        "diagrams": _diagram_section(report.ad),
         "warnings": _warnings_section(report),
     }
 
@@ -421,10 +421,8 @@ def _dump_g_csv(path: str, net: ReactionNetwork, w: Witness) -> None:
     witness does not come from a two-reaction line parametrization."""
     rows = ["z,g"]
     if w.offsets is not None and w.z_roots and net.num_reactions == 2:
-        struct = one_dim_structure(net)
-        r1, r2 = net.reactions
-        alphas = tuple(r1.reactant[k] - r2.reactant[k] for k in range(net.num_species))
-        gp = GProblem(alphas, struct.gamma_user(), w.offsets)
+        alphas, gammas = pair_sign_data(net, 0, 1)
+        gp = GProblem(alphas, gammas, w.offsets)
         span = max(w.z_roots) - min(w.z_roots)
         span = span if span > 0 else 1.0
         lo = max(gp.lower, min(w.z_roots) - 2 * span)
@@ -486,7 +484,7 @@ def cmd_verify(args) -> int:
     witness = _load_witness(args.witness)
     try:
         verification = verify_witness(net, witness, args.tol)
-    except ValueError as exc:
+    except (ValueError, NumericOverflow) as exc:
         raise UsageError(f"witness file: {exc}") from exc
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -552,7 +550,7 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
                     Reaction(a2, tuple(a + d for a, d in zip(a2, d2))),
                 ),
             )
-            if _flat_key(net) == _canonical_key(net):
+            if _flat_key(net) == canonical_key(net):
                 yield net
 
 
@@ -677,8 +675,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="verification tolerance (default 1e-9)")
     wit.add_argument("--dump-g", metavar="PATH",
                      help="write (z, g(z)) samples around the roots as CSV")
-    wit.add_argument("--seedless", action="store_true",
-                     help="reserved; the pipeline is deterministic already")
     _add_io_flags(wit)
     wit.set_defaults(func=cmd_witness)
 

@@ -273,6 +273,19 @@ def stoichiometric_matrix(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col[k] for col in cols) for k in range(net.num_species))
 
 
+def pair_sign_data(net: ReactionNetwork, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alphas, gammas) of the two-reaction subnetwork (i, j), user order.
+
+    ``alphas[k]`` is the reactant difference of species ``k`` (reaction
+    ``i`` minus reaction ``j``, both 0-based) and ``gammas`` is the change
+    vector of reaction ``i``: the data the scalar reduction of the pair and
+    its sign classes are built from.
+    """
+    ri, rj = net.reactions[i], net.reactions[j]
+    alphas = tuple(ri.reactant[k] - rj.reactant[k] for k in range(net.num_species))
+    return alphas, ri.change
+
+
 @dataclass(frozen=True)
 class OneDimStructure:
     """Exact description of a network with collinear change vectors.
@@ -308,6 +321,16 @@ class OneDimStructure:
         for p, orig in enumerate(self.reaction_perm):
             out[orig] = self.lambdas[p]
         return tuple(out)
+
+    def opposed_pairs(self) -> list[tuple[int, int]]:
+        """0-based (i, j) with reaction i moving along gamma and j against
+        it, in permuted lexicographic order."""
+        m = len(self.lambdas)
+        return [
+            (self.reaction_perm[ip], self.reaction_perm[jp])
+            for ip in range(self.t)
+            for jp in range(self.t, m)
+        ]
 
 
 def one_dim_structure(net: ReactionNetwork) -> OneDimStructure:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import CrnError, ReactionNetwork, one_dim_structure
+from .network import CrnError, ReactionNetwork, conservation_constants, one_dim_structure
 
 
 class EmptyInterval(CrnError):
@@ -43,6 +43,10 @@ class ConstantG(CrnError):
 
 class DimensionMismatch(CrnError):
     """Witness data has the wrong arity for the network."""
+
+
+class NumericOverflow(CrnError):
+    """A mass-action quantity does not fit in binary64."""
 
 
 def _exact(value) -> Fraction:
@@ -565,7 +569,27 @@ def oracle_counts(gp: GProblem, Ks: Sequence[float], samples: int = 4001) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Witness verification against the full network.
+# Mass action and witness verification against the full network.
+
+
+def monomials(net: ReactionNetwork, x) -> list:
+    """``x ** reactant_j`` for each reaction ``j``, in reaction order.
+
+    Factors multiply in species order starting from the integer 1, so float
+    states give float monomials and exact (int / Fraction) states exact
+    ones.  Raises :class:`NumericOverflow` when a float monomial leaves
+    binary64.
+    """
+    out = []
+    for j, rx in enumerate(net.reactions):
+        try:
+            mono = math.prod(x[k] ** e for k, e in enumerate(rx.reactant) if e)
+        except OverflowError:
+            mono = math.inf
+        if isinstance(mono, float) and not math.isfinite(mono):
+            raise NumericOverflow(f"the mass-action monomial of reaction {j + 1} leaves binary64")
+        out.append(mono)
+    return out
 
 
 @dataclass(frozen=True)
@@ -620,22 +644,15 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         if not positive:
             checks.append(StateCheck(tuple(x), False, math.inf, math.inf, False, False))
             continue
-        terms = []
-        slopes = []
-        for j in range(m):
-            mono = 1.0
-            for k in range(s):
-                e = net.reactions[j].reactant[k]
-                if e:
-                    mono *= x[k] ** e
-            term = lam[j] * kappa[j] * mono
-            terms.append(term)
-            slopes.append(math.fsum(net.reactions[j].reactant[k] * gamma_user[k] / x[k] for k in range(s)))
+        terms = [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
+        slopes = [
+            math.fsum(rx.reactant[k] * gamma_user[k] / x[k] for k in range(s)) for rx in net.reactions
+        ]
         denom = math.fsum(abs(t) for t in terms)
         rate_residual = abs(math.fsum(terms)) / denom if denom > 0 else math.inf
         cons = 0.0
-        for i in range(1, s):
-            lhs = gperm[i] * x[perm[0]] - gperm[0] * x[perm[i]] - cs[i - 1]
+        for i, ci in enumerate(conservation_constants(struct, x), start=1):
+            lhs = ci - cs[i - 1]
             scale = abs(gperm[i] * x[perm[0]]) + abs(gperm[0] * x[perm[i]]) + abs(cs[i - 1]) + 1e-300
             cons = max(cons, abs(lhs) / scale)
         dh = math.fsum(t * sl for t, sl in zip(terms, slopes))

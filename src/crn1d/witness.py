@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrows import ad_count, diagram_pair_witnesses
+from .arrows import AdReport, ad_count
 from .classify import (
     CAP_AT_LEAST_THREE,
     BiReactionProfile,
@@ -34,9 +34,8 @@ from .classify import (
     NotBiReaction,
     bi_profile,
     capacity_class_bi,
-    necessary_pair_test,
+    nondeg_pair,
     sufficient_two_test,
-    _pair_sign_data,
 )
 from .network import (
     CrnError,
@@ -44,8 +43,9 @@ from .network import (
     ReactionNetwork,
     conservation_constants,
     one_dim_structure,
+    pair_sign_data,
 )
-from .numeric import GProblem, critical_points, eval_g, find_roots, verify_witness
+from .numeric import GProblem, NumericOverflow, critical_points, eval_g, find_roots, monomials, verify_witness
 
 
 class GoalUnattainable(CrnError):
@@ -165,9 +165,9 @@ def _exact_g2_at_zero(profile: BiReactionProfile, weights: dict[int, Fraction]) 
     return -sum(profile.alphas[k] * w * w for k, w in weights.items())
 
 
-def _weights_to_offsets(profile: BiReactionProfile, weights: dict[int, Fraction]):
+def _weights_to_offsets(gammas, weights: dict[int, Fraction]):
     d = []
-    for k, (a, g) in enumerate(zip(profile.alphas, profile.gammas)):
+    for k, g in enumerate(gammas):
         if k in weights:
             d.append(Fraction(abs(g)) / weights[k])
         elif g != 0:
@@ -213,7 +213,7 @@ def choose_d_three(profile: BiReactionProfile):
                 if _exact_g1_at_zero(profile, weights) == 0:
                     g2 = _exact_g2_at_zero(profile, weights)
                     if (g2 > 0) == (target > 0) and g2 != 0:
-                        return _weights_to_offsets(profile, weights)
+                        return _weights_to_offsets(profile.gammas, weights)
             eps /= 2
         raise RecipeFailed("pair recipe: no epsilon met the curvature condition")
     s1e, s2e, s3e, s4e = eff[1], eff[2], eff[3], eff[4]
@@ -234,7 +234,7 @@ def choose_d_three(profile: BiReactionProfile):
             if _exact_g1_at_zero(profile, weights) == 0:
                 g2 = _exact_g2_at_zero(profile, weights)
                 if (g2 > 0) == (target > 0) and g2 != 0:
-                    return _weights_to_offsets(profile, weights)
+                    return _weights_to_offsets(profile.gammas, weights)
         eps1 /= 2
     raise RecipeFailed("spread recipe: no epsilon met the curvature condition")
 
@@ -285,9 +285,7 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
     lam2 = struct.lambda_user()[1]
     if lam2 > 0:
         raise LambdaNotOpposed("both multipliers are positive; no level equation")
-    r1, r2 = net.reactions
-    alphas = tuple(r1.reactant[k] - r2.reactant[k] for k in range(net.num_species))
-    gammas = struct.gamma_user()
+    alphas, gammas = pair_sign_data(net, 0, 1)
     gp = GProblem(alphas, gammas, tuple(d))
     K = float(K)
     zs = sorted(float(z) for z in roots)
@@ -303,19 +301,26 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
         scale = sum(abs(a * g) / xv for a, g, xv in zip(alphas, gammas, x) if g != 0) + 1e-300
         flags.append(abs(g1) > 1e-8 * scale)
         states.append(x)
-    kappa = (1.0, math.exp(K) / float(-lam2))
-    dp = [gp.offsets[orig] for orig in struct.species_perm]
-    gperm = struct.gamma
-    c = tuple(gperm[i] * dp[0] - gperm[0] * dp[i] for i in range(1, len(gperm)))
     return Witness(
-        kappa=kappa,
-        c=c,
+        kappa=(1.0, _level_rate(K, 1.0, float(-lam2))),
+        c=conservation_constants(struct, gp.offsets),
         states=tuple(states),
         z_roots=tuple(zs),
         level=K,
         offsets=tuple(gp.offsets),
         nondegenerate=tuple(flags),
     )
+
+
+def _level_rate(K: float, num: float, den: float) -> float:
+    """``exp(K) * num / den``: the rate constant that puts a pair on level K."""
+    try:
+        rate = math.exp(K) * num / den
+    except OverflowError:
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        raise NumericOverflow(f"level K = {K} needs a rate constant outside the positive binary64 range")
+    return rate
 
 
 def _widened_offsets(d, gammas, passive, roots):
@@ -368,17 +373,6 @@ def witness_three(net: ReactionNetwork) -> Witness:
 # Two states for general networks.
 
 
-def _pair_nondegenerate(alphas, gammas) -> bool:
-    products = [a * g for a, g in zip(alphas, gammas)]
-    pos = [k for k, p in enumerate(products) if p > 0]
-    neg = [k for k, p in enumerate(products) if p < 0]
-    if not pos or not neg:
-        return False
-    if len(pos) == 1 and len(neg) == 1 and alphas[pos[0]] == -alphas[neg[0]]:
-        return False
-    return True
-
-
 def _balanced_pair_weights(alphas, gammas):
     """Weights making the pair reduction critical at the origin with
     nonzero exact curvature, by a deterministic jitter if needed."""
@@ -402,33 +396,16 @@ def _balanced_pair_weights(alphas, gammas):
     return None, 0
 
 
-def _line_domain(gammas, offsets) -> tuple[float, float]:
-    lows = [-d / Fraction(g) for g, d in zip(gammas, offsets) if g > 0]
-    highs = [-d / Fraction(g) for g, d in zip(gammas, offsets) if g < 0]
-    lo = float(max(lows)) if lows else -math.inf
-    hi = float(min(highs)) if highs else math.inf
-    return lo, hi
-
-
 def _balance(net: ReactionNetwork, lam, kappa, x) -> float:
-    terms = []
-    for j, rx in enumerate(net.reactions):
-        mono = 1.0
-        for k, e in enumerate(rx.reactant):
-            if e:
-                mono *= x[k] ** e
-        terms.append(lam[j] * kappa[j] * mono)
-    return math.fsum(terms)
+    return math.fsum(lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x)))
 
 
 def _balance_slope(net: ReactionNetwork, lam, kappa, gammas, x) -> float:
     total = []
-    for j, rx in enumerate(net.reactions):
-        mono = 1.0
+    for j, (rx, mono) in enumerate(zip(net.reactions, monomials(net, x))):
         inner = 0.0
         for k, e in enumerate(rx.reactant):
             if e:
-                mono *= x[k] ** e
                 inner += e * gammas[k] / x[k]
         total.append(lam[j] * kappa[j] * mono * inner)
     return math.fsum(total)
@@ -436,22 +413,15 @@ def _balance_slope(net: ReactionNetwork, lam, kappa, gammas, x) -> float:
 
 def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) -> Witness | None:
     """Two states from one nondegenerate opposed pair, then full embedding."""
-    alphas, pair_gammas = _pair_sign_data(net, i, j)
-    if not _pair_nondegenerate(alphas, pair_gammas):
+    alphas, pair_gammas = pair_sign_data(net, i, j)
+    if not nondeg_pair(alphas, pair_gammas).nondegenerate_multistationary:
         return None
     weights, g2_sign = _balanced_pair_weights(alphas, pair_gammas)
     if weights is None:
         return None
     s = net.num_species
     passive = [k for k in range(s) if alphas[k] == 0 and pair_gammas[k] != 0]
-    d0 = []
-    for k in range(s):
-        if k in weights:
-            d0.append(Fraction(abs(pair_gammas[k])) / weights[k])
-        elif pair_gammas[k] != 0:
-            d0.append(Fraction(abs(pair_gammas[k])))
-        else:
-            d0.append(Fraction(1))
+    d0 = _weights_to_offsets(pair_gammas, weights)
     probe_gammas = tuple(0 if k in passive else g for k, g in enumerate(pair_gammas))
     probe_d = tuple(Fraction(1) if k in passive else d0[k] for k in range(s))
     try:
@@ -491,10 +461,11 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
     gammas = struct.gamma_user()
     li, lj = lam[i], lam[j]
     z_pair = sorted((li * r_lo, li * r_hi))
-    lo_dom, hi_dom = _line_domain(gammas, d_final)
+    line = GProblem(alphas, gammas, d_final)
+    lo_dom, hi_dom = line.lower, line.upper
     gap = z_pair[1] - z_pair[0]
     all_z = sorted(li * r for r in rs.roots)
-    kappa_j = math.exp(K) * li / (-lj)
+    kappa_j = _level_rate(K, li, -lj)
     d_float = [float(v) for v in d_final]
     eps = 1e-2
     for _ in range(12):
@@ -545,22 +516,19 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
             polished.append(z)
         if ok and abs(polished[1] - polished[0]) > 1e-9 * (1 + abs(polished[1])):
             states = tuple(tuple(g * z + dv for g, dv in zip(gammas, d_float)) for z in polished)
-            dp = [d_final[orig] for orig in struct.species_perm]
-            gperm = struct.gamma
-            c = tuple(gperm[q] * dp[0] - gperm[0] * dp[q] for q in range(1, len(gperm)))
             flags = []
-            for z, x in zip(polished, states):
-                slope = _balance_slope(net, lam, kappa, gammas, list(x))
+            for x in states:
+                slope = _balance_slope(net, lam, kappa, gammas, x)
                 scale = sum(
                     abs(lam[jj] * kappa[jj])
-                    * math.prod(x[k] ** net.reactions[jj].reactant[k] for k in range(s))
-                    * sum(net.reactions[jj].reactant[k] * abs(gammas[k]) / x[k] for k in range(s))
-                    for jj in range(net.num_reactions)
+                    * mono
+                    * sum(rx.reactant[k] * abs(gammas[k]) / x[k] for k in range(s))
+                    for jj, (rx, mono) in enumerate(zip(net.reactions, monomials(net, x)))
                 ) + 1e-300
                 flags.append(abs(slope) > 1e-8 * scale)
             witness = Witness(
                 kappa=tuple(kappa),
-                c=c,
+                c=conservation_constants(struct, d_final),
                 states=states,
                 z_roots=tuple(polished),
                 level=None,
@@ -622,9 +590,9 @@ def _endpoint_points(net: ReactionNetwork, struct: OneDimStructure, k3: int, fli
 def _log_ratio_gap(net: ReactionNetwork, lam, kappa, y, z) -> float:
     """ln of the up/down rate ratio at y minus the same at z."""
     up_y, down_y, up_z, down_z = [], [], [], []
-    for j, rx in enumerate(net.reactions):
-        mono_y = math.prod(float(y[k]) ** e for k, e in enumerate(rx.reactant) if e)
-        mono_z = math.prod(float(z[k]) ** e for k, e in enumerate(rx.reactant) if e)
+    monos_y = monomials(net, [float(v) for v in y])
+    monos_z = monomials(net, [float(v) for v in z])
+    for j, (mono_y, mono_z) in enumerate(zip(monos_y, monos_z)):
         if lam[j] > 0:
             up_y.append(lam[j] * kappa[j] * mono_y)
             up_z.append(lam[j] * kappa[j] * mono_z)
@@ -635,21 +603,15 @@ def _log_ratio_gap(net: ReactionNetwork, lam, kappa, y, z) -> float:
             - math.log(math.fsum(up_z)) + math.log(math.fsum(down_z)))
 
 
-def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure) -> Witness:
+def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdReport) -> Witness:
     """Two states on an explicit line by matching rate ratios between
     concentrated-rate endpoints, with an exact rational polish."""
-    pairs = diagram_pair_witnesses(net, struct)
-    if not pairs.left_right:
+    if not ad.left_right:
         raise GoalUnattainable("no left-right diagram triple to anchor the construction")
-    k3 = pairs.left_right[0][0] - 1
+    k3 = ad.left_right[0][0] - 1
     lam_exact = struct.lambda_user()
     lam = [float(v) for v in lam_exact]
-    m = net.num_reactions
-    opposed = [
-        (struct.reaction_perm[ip], struct.reaction_perm[jp])
-        for ip in range(struct.t)
-        for jp in range(struct.t, m)
-    ]
+    opposed = struct.opposed_pairs()
     last_error = None
     for flip in (False, True):
         points = _endpoint_points(net, struct, k3, flip)
@@ -658,10 +620,9 @@ def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure) -> Witness:
         y, z = points
         gaps = []
         for (i, j) in opposed:
+            alphas, _gammas = pair_sign_data(net, i, j)
             d = math.fsum(
-                (net.reactions[i].reactant[k] - net.reactions[j].reactant[k])
-                * (math.log(float(y[k])) - math.log(float(z[k])))
-                for k in range(net.num_species)
+                a * (math.log(float(y[k])) - math.log(float(z[k]))) for k, a in enumerate(alphas)
             )
             gaps.append((d, i, j))
         neg = min(gaps)
@@ -712,24 +673,13 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
             break
     if kappa is None or abs(_log_ratio_gap(net, lam, kappa, y, z)) > 1e-6:
         raise BisectionStalled("ratio-matching bisection left a visible gap")
-    up = math.fsum(
-        lam[j] * kappa[j] * math.prod(float(z[k]) ** e for k, e in enumerate(net.reactions[j].reactant) if e)
-        for j in range(m) if lam[j] > 0
-    )
-    down = math.fsum(
-        -lam[j] * kappa[j] * math.prod(float(z[k]) ** e for k, e in enumerate(net.reactions[j].reactant) if e)
-        for j in range(m) if lam[j] < 0
-    )
+    mono_z_float = monomials(net, [float(v) for v in z])
+    up = math.fsum(lam[j] * kappa[j] * mono_z_float[j] for j in range(m) if lam[j] > 0)
+    down = math.fsum(-lam[j] * kappa[j] * mono_z_float[j] for j in range(m) if lam[j] < 0)
     kappa = [kappa[j] / up if lam[j] > 0 else kappa[j] / down for j in range(m)]
 
-    mono_y = [
-        math.prod(Fraction(y[k]) ** e for k, e in enumerate(rx.reactant) if e)
-        for rx in net.reactions
-    ]
-    mono_z = [
-        math.prod(Fraction(z[k]) ** e for k, e in enumerate(rx.reactant) if e)
-        for rx in net.reactions
-    ]
+    mono_y = monomials(net, y)
+    mono_z = monomials(net, z)
     kf = [Fraction(v) for v in kappa]
     positives = sorted((j for j in range(m) if lam[j] > 0), key=lambda j: -kappa[j])
     negatives = sorted((j for j in range(m) if lam[j] < 0), key=lambda j: -kappa[j])
@@ -781,17 +731,14 @@ def witness_two_general(net: ReactionNetwork) -> Witness:
     if struct.t == m:
         raise GoalUnattainable("no opposed reaction pair exists")
     ad = ad_count(net, struct)
-    necessary = necessary_pair_test(net, struct, ad)
-    cert = sufficient_two_test(net, struct)
+    cert = sufficient_two_test(net, struct, ad)
     if cert is None:
         raise GoalUnattainable("no opposed pair with finite capacity")
-    if not necessary.passes:
+    if not cert.necessary_pair_passes:
         raise GoalUnattainable("pair-diagram test fails; two nondegenerate states "
                                "are excluded while the capacity is finite")
-    for ip in range(struct.t):
-        for jp in range(struct.t, m):
-            i, j = struct.reaction_perm[ip], struct.reaction_perm[jp]
-            witness = _lift_pair(net, struct, i, j)
-            if witness is not None:
-                return witness
-    return _two_by_endpoints(net, struct)
+    for i, j in struct.opposed_pairs():
+        witness = _lift_pair(net, struct, i, j)
+        if witness is not None:
+            return witness
+    return _two_by_endpoints(net, struct, ad)

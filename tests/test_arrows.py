@@ -2,13 +2,7 @@
 
 import pytest
 
-from crn1d import (
-    ad_count,
-    diagram_pair_witnesses,
-    one_dim_structure,
-    one_species_diagram,
-    parse_network,
-)
+from crn1d import ad_count, one_dim_structure, one_species_diagram, parse_network
 
 from conftest import load
 
@@ -39,18 +33,16 @@ class TestAdCount:
         assert ad.triples == ((1, 1, 2, -1), (2, 1, 2, 1), (3, 1, 2, -1))
 
     def test_pair_witnesses(self, ad_example):
-        struct = one_dim_structure(ad_example)
-        pairs = diagram_pair_witnesses(ad_example, struct)
-        assert pairs.right_left == ((1, 1, 2), (3, 1, 2))
-        assert pairs.left_right == ((2, 1, 2),)
+        ad = ad_count(ad_example, one_dim_structure(ad_example))
+        assert ad.right_left == ((1, 1, 2), (3, 1, 2))
+        assert ad.left_right == ((2, 1, 2),)
 
     def test_one_sided_network(self, ga):
         struct = one_dim_structure(ga)
         ad = ad_count(ga, struct)
         assert ad.total == 2
-        pairs = diagram_pair_witnesses(ga, struct)
-        assert pairs.right_left == ()
-        assert len(pairs.left_right) == 2
+        assert ad.right_left == ()
+        assert len(ad.left_right) == 2
 
     def test_total_is_sum(self):
         for name in ("ga", "gb", "gc", "gd", "w1", "w2", "five_species"):
@@ -63,11 +55,10 @@ class TestAdCount:
     def test_triples_match_pair_lists(self, gd):
         struct = one_dim_structure(gd)
         ad = ad_count(gd, struct)
-        pairs = diagram_pair_witnesses(gd, struct)
         neg = tuple((k, i, j) for k, i, j, s in ad.triples if s < 0)
         pos = tuple((k, i, j) for k, i, j, s in ad.triples if s > 0)
-        assert neg == pairs.right_left
-        assert pos == pairs.left_right
+        assert neg == ad.right_left
+        assert pos == ad.left_right
 
     def test_equal_reactant_levels_do_not_count(self):
         # both reactions read species 1 at the same level

@@ -23,6 +23,11 @@ def profile_of(net):
     return bi_profile(net, one_dim_structure(net))
 
 
+def certificate_of(net):
+    struct = one_dim_structure(net)
+    return sufficient_two_test(net, struct, ad_count(net, struct))
+
+
 def capacity_of(net):
     struct = one_dim_structure(net)
     prof = bi_profile(net, struct)
@@ -193,22 +198,22 @@ class TestNecessaryAndSufficient:
             assert necessary_three_test(ad_count(net, struct)).passes is expect
 
     def test_certificate_w2(self, w2):
-        cert = sufficient_two_test(w2, one_dim_structure(w2))
+        cert = certificate_of(w2)
         assert cert.pair == (3, 2)
         assert cert.satisfied
 
     def test_certificate_requires_pair_test(self, ga):
-        cert = sufficient_two_test(ga, one_dim_structure(ga))
+        cert = certificate_of(ga)
         assert cert.pair == (1, 2)
         assert not cert.satisfied
 
     def test_no_certificate_without_opposition(self):
         net = parse_network("X1 -> 2 X1\n2 X1 -> 3 X1")
-        assert sufficient_two_test(net, one_dim_structure(net)) is None
+        assert certificate_of(net) is None
 
     def test_no_certificate_for_balanced_pairs(self):
         net = parse_network("2 X1 -> 3 X1 + X2\nX1 + X2 -> 0")
-        assert sufficient_two_test(net, one_dim_structure(net)) is None
+        assert certificate_of(net) is None
 
 
 class TestWarnings:

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from crn1d import classify, enumerate_bi_networks, main, parse_network
-from crn1d.classify import _canonical_key
+from crn1d import canonical_key, classify, enumerate_bi_networks, main, parse_network
 
 from conftest import DATA
 
@@ -82,7 +81,7 @@ class TestClassify:
         assert red["dropped_reactions"] == []
         assert red["classification"]["tag"] == "finite-at-least-three"
         reduced = parse_network("\n".join(red["network"]))
-        assert _canonical_key(reduced) == _canonical_key(
+        assert canonical_key(reduced) == canonical_key(
             parse_network((DATA / "ad_example.crn").read_text())
         )
 
@@ -252,6 +251,34 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+def steep_pair(scale: int) -> str:
+    """A nondegenerate opposed pair whose rates overflow binary64 on its line."""
+    a, c = 4 * scale, 3 * scale
+    return f"X1 + {a} X2 -> 2 X1 + {a + 1} X2\n3 X1 + {c} X2 -> 2 X1 + {c - 1} X2\n"
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [100, 1000])
+    def test_witness_exits_five(self, capsys, monkeypatch, scale):
+        # scale 100 overflows a monomial, scale 1000 the rate exp(K)
+        code, out, err = run(
+            capsys, "witness", "-", "--goal", "two", stdin=steep_pair(scale), monkeypatch=monkeypatch
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_verify_exits_two(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kappa": [1, 1], "c": [0], "states": [[1e200, 1e200]]}))
+        code, out, err = run(
+            capsys, "verify", "-", "--witness", str(path), stdin=steep_pair(100), monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: witness file:") and err.count("\n") == 1
+
+
 class TestEnumerate:
     def test_one_species_histogram(self, capsys, tmp_path):
         out_path = tmp_path / "nets.jsonl"
@@ -292,7 +319,7 @@ class TestEnumerate:
         keys = set()
         for line in lines:
             net = parse_network("\n".join(json.loads(line)["network"]))
-            keys.add(_canonical_key(net))
+            keys.add(canonical_key(net))
         assert len(keys) == 206
 
     def test_two_species_histogram(self, capsys, tmp_path):
@@ -319,9 +346,9 @@ class TestEnumerate:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_gb_is_enumerated(self, gb):
-        key = _canonical_key(gb)
+        key = canonical_key(gb)
         assert any(
-            _canonical_key(net) == key
+            canonical_key(net) == key
             for net in enumerate_bi_networks(3, 4, directions=[(1, 1, 1)])
         )
 
@@ -341,7 +368,7 @@ class TestEnumerate:
             net = ReactionNetwork(
                 ("X1",), (Reaction((a1,), (p1,)), Reaction((a2,), (p2,)))
             )
-            brute.add(_canonical_key(net))
-        streamed = {_canonical_key(net) for net in enumerate_bi_networks(1, 2)}
+            brute.add(canonical_key(net))
+        streamed = {canonical_key(net) for net in enumerate_bi_networks(1, 2)}
         assert brute == streamed
         assert len(brute) == 15

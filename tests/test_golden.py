@@ -1,0 +1,88 @@
+"""Byte identity of the JSON reports on the fixture networks.
+
+Each report is pinned by its SHA-256.  A change to the float arithmetic
+(even the order of two multiplications) or to the report layout changes a
+digest; a change that means to alter the bytes re-records them and says
+why.
+"""
+
+import hashlib
+
+import pytest
+
+from crn1d import main
+
+from conftest import DATA
+
+CLASSIFY = {
+    "gb": "b22fc9e34ed1da7b436df13673387e864583fa0c3d54d39d7b85e9589d8bc7d9",
+    "gc": "2330ddc10824e38fd51b2565215b0c45a6ee3e3e07cf24d505c2e95bd78d9d12",
+    "gd": "e8809bacd215f9ac7002c2f2098db1cbe438f057b6edc19e16a08e2f929e0878",
+    "gh": "4682400188aac48ecd70f155d94fb67d9d6e76c7f94539abb17febb5f036742a",
+    "w1": "af5fe2a7ccf77ba17e82f547fc71ad5dbdd4565adeb78ba798da38f48af19e55",
+    "nb": "1b513a477931c46018ffb7cb1e689a761844609d176a5fb915d34259d1728fd6",
+}
+
+# (network, goal): (witness report digest, verify report digest)
+WITNESS = {
+    ("gb", "three"): (
+        "620974218d5d2e65c2308d310c1ab21bff0aa1c72c867f99bed6880ec3e07edb",
+        "fecddf5c754f834747c9ca0ddf745cd40dd63d6a4682bcda835e5b6cbf60cca0",
+    ),
+    ("gc", "three"): (
+        "0393cd451fa4821ae1c08428fd1584486f18a756430a12414ecd45bc11fd9142",
+        "4d2540595e6edc859c3a122e3003a63a0ba3bda9e459beae7ed20cd861174d9a",
+    ),
+    ("gd", "three"): (
+        "8228ee74aa4c2b18fe7bb1888d4d78902ddb39d552b5d793ecde53c764dd09ce",
+        "8736e3311241b0e2b6906d45a0893086cc0ef07ccbb7043f77be41e94980cda4",
+    ),
+    ("gh", "three"): (
+        "d608d2e41d04b51d8dcef52a2ed8383162892bea08db61aed8a65455083835e1",
+        "4a389724faa0b5b0181045f53ac1451b72815cc399370f96aabce3f384abbdeb",
+    ),
+    ("gb", "two"): (
+        "ae300fedb98e7e3502b5bde3c72a802ef6892fbedd421ba2bbc2219ffefffe75",
+        "ba8d9769159703d30c63a557d4c32d84559a6209365453ddcb32903e83edbd96",
+    ),
+    ("gc", "two"): (
+        "81a4ba4593be9c9ec9032c4189f5c0fa14204aa1b8619f34af38c1be96c7cb5c",
+        "1a0763dcbb6529d77279d4e36c2662919e1c8c6305ebd3def42adca2ab00d3e5",
+    ),
+    ("gd", "two"): (
+        "9472373a67c6a311a80b98c4b9648d4da352af99a224c2cfaa9838b7189fd3e9",
+        "2984c0b2faa39a145e592630867d0b73d44b23b5bd940eb4fac356b36e44407d",
+    ),
+    ("gh", "two"): (
+        "6d76fdfbda7d38b68dc68e2fe8caf0a878310d02ef7bd9aa0bd72ff7f2cd4ab1",
+        "88089690726954862bb17e0a217130b5342ca1fb3ce0ef039c1517dbee3f7352",
+    ),
+    ("w1", "two"): (
+        "8702397ee9e9db2ffb26da79e5785af37b67cabfaaab124f0f07ad00837e373d",
+        "28b1e6a7eda3a1092983e3ad33ade4897e759b3c6538a4ec31a37ff5b26d8f03",
+    ),
+    ("nb", "two"): (
+        "1375953858804bf8d0259e753ca7c637c1255eed9ed2bc8e44d39c6ce3bdad46",
+        "6a494f3eadebeb2697f5a07ab771a0e6f4aabc2279badb9e41c028edf749f2ca",
+    ),
+}
+
+
+def digest_of(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY))
+def test_classify_bytes(capsys, name):
+    assert digest_of(capsys, "classify", str(DATA / f"{name}.crn")) == CLASSIFY[name]
+
+
+@pytest.mark.parametrize("name,goal", sorted(WITNESS))
+def test_witness_and_verify_bytes(capsys, tmp_path, name, goal):
+    crn = str(DATA / f"{name}.crn")
+    witness_digest, verify_digest = WITNESS[(name, goal)]
+    assert digest_of(capsys, "witness", crn, "--goal", goal) == witness_digest
+    report = tmp_path / "witness.json"
+    assert main(["witness", crn, "--goal", goal, "--out", str(report)]) == 0
+    assert digest_of(capsys, "verify", crn, "--witness", str(report)) == verify_digest

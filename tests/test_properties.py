@@ -13,7 +13,6 @@ from crn1d import (
     classify,
     conservation_constants,
     critical_points,
-    diagram_pair_witnesses,
     embed,
     find_roots,
     format_network,
@@ -87,11 +86,10 @@ class TestDiagrams:
         ad = ad_count(net, struct)
         assert ad.total == len(ad.triples) == sum(ad.per_species)
         assert all(sign in (-1, 1) for *_kij, sign in ad.triples)
-        pairs = diagram_pair_witnesses(net, struct)
         neg = {(k, i, j) for k, i, j, s in ad.triples if s < 0}
         pos = {(k, i, j) for k, i, j, s in ad.triples if s > 0}
-        assert set(pairs.right_left) == neg
-        assert set(pairs.left_right) == pos
+        assert set(ad.right_left) == neg
+        assert set(ad.left_right) == pos
 
 
 class TestCapacity:
