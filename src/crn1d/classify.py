@@ -19,6 +19,7 @@ necessary/sufficient pair tests built on the bi-arrow count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,22 +383,17 @@ class Report:
     warnings: tuple[Notice, ...]
 
 
-def canonical_key(net: ReactionNetwork):
-    """Isomorphism key: minimal coefficient table over species and reaction
-    relabelings.  Intended for small networks (the known-issue registry and
-    the enumerator)."""
-    s = net.num_species
-    best = None
-    for sperm in itertools.permutations(range(s)):
-        rows = [
-            tuple(rx.reactant[k] for k in sperm) + tuple(rx.product[k] for k in sperm)
-            for rx in net.reactions
-        ]
-        for rperm in itertools.permutations(range(len(rows))):
-            key = tuple(rows[j] for j in rperm)
-            if best is None or key < best:
-                best = key
-    return best
+def canonical_key(reactions) -> tuple:
+    """Isomorphism key of ``(reactant, product)`` pairs such as ``net.reactions``:
+    the minimal table, one row ``reactant + product`` per reaction, over species
+    and reaction relabelings.  For each of the m! reaction orders the smallest
+    species order sorts the columns ``(r1k, p1k, r2k, p2k, ...)``, so a key of
+    s species and m reactions costs O(m! * s log s)."""
+    best = min(
+        tuple(zip(*sorted(zip(*(vec for rx in order for vec in rx)))))
+        for order in itertools.permutations(reactions)
+    )
+    return tuple(r + p for r, p in zip(best[::2], best[1::2]))
 
 
 _W1_TEXT = """
@@ -412,20 +408,20 @@ X1 + 2 X2 -> 2 X1 + 3 X2
 X1 + X2 -> 0
 """
 
-_KNOWN_ISSUES: dict = {}
 
-
-def _known_issue_registry() -> dict:
-    if not _KNOWN_ISSUES:
-        _KNOWN_ISSUES[canonical_key(parse_network(_W1_TEXT))] = Notice(
+@functools.cache
+def _known_issue_registry() -> tuple[dict, frozenset]:
+    """Key -> notice, and the set of (species, reactions) shapes of the keys."""
+    registry = {
+        canonical_key(parse_network(_W1_TEXT).reactions): Notice(
             id="reference-witness-mismatch",
             message="a commonly quoted two-state witness for this network "
             "(rates (1, 9, 1), conservation constant 0.5) does not satisfy its "
             "steady-state equation; those states solve the sign-flipped cubic "
             "x1*x2^2 - 9*x1^2 + x2^2 = 0 instead. Witnesses here are derived "
             "independently and verified numerically.",
-        )
-        _KNOWN_ISSUES[canonical_key(parse_network(_W2_TEXT))] = Notice(
+        ),
+        canonical_key(parse_network(_W2_TEXT).reactions): Notice(
             id="reference-claim-mismatch",
             message="this network is sometimes claimed to admit no "
             "multistationarity; the certificate test disagrees. A degenerate "
@@ -433,15 +429,18 @@ def _known_issue_registry() -> dict:
             "opposed rates are equal and the conservation constant is tuned "
             "(kappa2 = kappa1 with c1 = kappa3/kappa1); all other parameters "
             "give at most one positive steady state on a line.",
-        )
-    return _KNOWN_ISSUES
+        ),
+    }
+    return registry, frozenset((len(key[0]) // 2, len(key)) for key in registry)
 
 
 def known_issue_warnings(net: ReactionNetwork) -> tuple[Notice, ...]:
-    """Warnings for networks matching the registry up to relabeling."""
-    if net.num_species > 6 or net.num_reactions > 4:
+    """Warnings for networks matching the registry up to relabeling.  Only a
+    network of a registry shape can match, so no key is computed for others."""
+    registry, shapes = _known_issue_registry()
+    if (net.num_species, net.num_reactions) not in shapes:
         return ()
-    hit = _known_issue_registry().get(canonical_key(net))
+    hit = registry.get(canonical_key(net.reactions))
     return (hit,) if hit else ()
 
 

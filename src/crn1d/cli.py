@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -526,10 +527,6 @@ def _multiplier_values(cmax: int) -> list[int]:
     return out
 
 
-def _flat_key(net: ReactionNetwork):
-    return tuple(tuple(rx.reactant) + tuple(rx.product) for rx in net.reactions)
-
-
 def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
     """Canonical representatives among networks with changes (c1*e, c2*e)."""
     names = tuple(f"X{k + 1}" for k in range(species))
@@ -538,20 +535,17 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
     ranges1 = [range(max(0, -d1[k]), bound - max(0, d1[k]) + 1) for k in range(species)]
     ranges2 = [range(max(0, -d2[k]), bound - max(0, d2[k]) + 1) for k in range(species)]
     for a1 in product(*ranges1):
+        p1 = tuple(a + d for a, d in zip(a1, d1))
+        if sorted(zip(a1, p1)) != list(zip(a1, p1)):
+            continue  # a representative's species columns are sorted (canonical_key)
         for a2 in product(*ranges2):
             if a1 == a2 and d1 == d2:
                 continue
             if not all(e[k] != 0 or a1[k] > 0 or a2[k] > 0 for k in range(species)):
                 continue
-            net = ReactionNetwork(
-                names,
-                (
-                    Reaction(a1, tuple(a + d for a, d in zip(a1, d1))),
-                    Reaction(a2, tuple(a + d for a, d in zip(a2, d2))),
-                ),
-            )
-            if _flat_key(net) == canonical_key(net):
-                yield net
+            p2 = tuple(a + d for a, d in zip(a2, d2))
+            if canonical_key(((a1, p1), (a2, p2))) == (a1 + p1, a2 + p2):
+                yield ReactionNetwork(names, (Reaction(a1, p1), Reaction(a2, p2)))
 
 
 def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
@@ -603,8 +597,9 @@ def cmd_enumerate(args) -> int:
             raise UsageError(str(exc)) from exc
         sink = opened
     try:
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
+        workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+        if workers > 1:
+            with Pool(workers) as pool:
                 batches = pool.imap(_cell_records, cells, chunksize=8)
                 for batch in batches:
                     for tag, line in batch:

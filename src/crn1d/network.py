@@ -86,6 +86,10 @@ class Reaction:
     def change(self) -> tuple[int, ...]:
         return tuple(p - r for r, p in zip(self.reactant, self.product))
 
+    def __iter__(self):
+        """Unpack as ``reactant, product``."""
+        return iter((self.reactant, self.product))
+
 
 @dataclass(frozen=True)
 class ReactionNetwork:

@@ -5,7 +5,8 @@ scratch: restricted to the line, the rate balance is a polynomial in the
 line parameter, which we expand with exact rational coefficients and
 count with a Sturm chain, also exact.  None of the package's interval
 walking, bracketing or sampling code is involved, so agreement between
-the two is meaningful evidence.
+the two is meaningful evidence.  The isomorphism key is likewise
+recomputed by trying every relabeling.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from crn1d import (
     GProblem,
@@ -308,3 +310,21 @@ def sample_level(rng: random.Random, gp: GProblem, tries: int = 60):
         if all(abs(k - v) > 1e-5 * (1.0 + abs(k) + abs(v)) for v in crit_vals):
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism key.
+
+
+def brute_force_key(pairs) -> tuple:
+    """Minimal coefficient table of a reaction list, one row
+    ``reactant + product`` per reaction, over all s! species orders and all
+    m! reaction orders.  ``pairs`` holds ``(reactant, product)`` vectors."""
+    pairs = [(tuple(r), tuple(p)) for r, p in pairs]
+    best = None
+    for sperm in permutations(range(len(pairs[0][0]))):
+        rows = [tuple(r[k] for k in sperm) + tuple(p[k] for k in sperm) for r, p in pairs]
+        for table in permutations(rows):
+            if best is None or table < best:
+                best = table
+    return best

@@ -1,5 +1,6 @@
 """Profile extraction, the capacity ladder, tests, and the full report."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,18 @@ class TestWarnings:
 
     def test_registry_silent_elsewhere(self, gb):
         assert known_issue_warnings(gb) == ()
+
+    def test_registry_gated_by_shape(self, monkeypatch, gb, w1):
+        # only 2-species, 3-reaction networks can match: others never need a key
+        def no_key(reactions):
+            raise AssertionError("canonical_key called")
+
+        assert known_issue_warnings(w1)  # builds the registry with the real key
+        monkeypatch.setattr(importlib.import_module("crn1d.classify"), "canonical_key", no_key)
+        wide = parse_network("X1 + X2 -> X3\nX3 -> X4 + X5\nX5 -> 2 X6\nX6 -> X1")
+        assert (wide.num_species, wide.num_reactions) == (6, 4)
+        assert known_issue_warnings(gb) == ()
+        assert known_issue_warnings(wide) == ()
 
     def test_both_arrow_level(self, example42):
         assert [n.id for n in structural_warnings(example42)] == ["both-arrow-level"]

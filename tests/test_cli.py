@@ -2,12 +2,14 @@
 
 import io
 import json
+import os
 
 import pytest
 
 from crn1d import canonical_key, classify, enumerate_bi_networks, main, parse_network
 
 from conftest import DATA
+from support import brute_force_key
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -81,8 +83,8 @@ class TestClassify:
         assert red["dropped_reactions"] == []
         assert red["classification"]["tag"] == "finite-at-least-three"
         reduced = parse_network("\n".join(red["network"]))
-        assert canonical_key(reduced) == canonical_key(
-            parse_network((DATA / "ad_example.crn").read_text())
+        assert canonical_key(reduced.reactions) == canonical_key(
+            parse_network((DATA / "ad_example.crn").read_text()).reactions
         )
 
     def test_warning_surfaces(self, capsys):
@@ -319,7 +321,7 @@ class TestEnumerate:
         keys = set()
         for line in lines:
             net = parse_network("\n".join(json.loads(line)["network"]))
-            keys.add(canonical_key(net))
+            keys.add(canonical_key(net.reactions))
         assert len(keys) == 206
 
     def test_two_species_histogram(self, capsys, tmp_path):
@@ -339,25 +341,60 @@ class TestEnumerate:
     def test_jobs_deterministic(self, capsys, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        run(capsys, "enumerate", "--species", "1", "--max-coeff", "2",
+        for species in ("1", "2"):
+            run(capsys, "enumerate", "--species", species, "--max-coeff", "2",
+                "--out", str(serial))
+            run(capsys, "enumerate", "--species", species, "--max-coeff", "2",
+                "--jobs", "2", "--out", str(parallel))
+            assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize(
+        "species,bound,jobs,cpus,size",
+        [
+            (1, 1, 1000, 64, 4),  # 4 cells
+            (1, 2, 8, 3, 3),  # 16 cells, 3 CPUs
+            (1, 2, 8, None, None),  # CPU count unknown: serial
+            (1, 2, 1, 64, None),
+        ],
+    )
+    def test_jobs_bounded(self, capsys, tmp_path, monkeypatch, species, bound, jobs, cpus, size):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        serial = tmp_path / "serial.jsonl"
+        pooled = tmp_path / "pooled.jsonl"
+        run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
             "--out", str(serial))
-        run(capsys, "enumerate", "--species", "1", "--max-coeff", "2",
-            "--jobs", "2", "--out", str(parallel))
-        assert serial.read_bytes() == parallel.read_bytes()
+        monkeypatch.setattr("crn1d.cli.Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
+            "--jobs", str(jobs), "--out", str(pooled))
+        assert sizes == ([] if size is None else [size])
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_gb_is_enumerated(self, gb):
-        key = canonical_key(gb)
+        key = canonical_key(gb.reactions)
         assert any(
-            canonical_key(net) == key
+            canonical_key(net.reactions) == key
             for net in enumerate_bi_networks(3, 4, directions=[(1, 1, 1)])
         )
 
     def test_matches_brute_force_census(self):
         # independent census: every 1-species reaction pair with
-        # coefficients <= 2, grouped by isomorphism key
+        # coefficients <= 2, grouped by the brute-force key
         from itertools import product
-
-        from crn1d import Reaction, ReactionNetwork
 
         brute = set()
         for a1, p1, a2, p2 in product(range(3), repeat=4):
@@ -365,10 +402,7 @@ class TestEnumerate:
                 continue
             if (a1, p1) == (a2, p2):
                 continue
-            net = ReactionNetwork(
-                ("X1",), (Reaction((a1,), (p1,)), Reaction((a2,), (p2,)))
-            )
-            brute.add(canonical_key(net))
-        streamed = {canonical_key(net) for net in enumerate_bi_networks(1, 2)}
-        assert brute == streamed
-        assert len(brute) == 15
+            brute.add(brute_force_key((((a1,), (p1,)), ((a2,), (p2,)))))
+        streamed = [brute_force_key(net.reactions) for net in enumerate_bi_networks(1, 2)]
+        assert len(streamed) == len(set(streamed)) == 15
+        assert set(streamed) == brute

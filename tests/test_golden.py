@@ -1,4 +1,5 @@
-"""Byte identity of the JSON reports on the fixture networks.
+"""Byte identity of the JSON reports on the fixture networks and of the
+enumeration stream.
 
 Each report is pinned by its SHA-256.  A change to the float arithmetic
 (even the order of two multiplications) or to the report layout changes a
@@ -68,6 +69,19 @@ WITNESS = {
 }
 
 
+# (species, max_coeff): enumerate --out JSONL digest
+ENUMERATE = {
+    (1, 1): "4d88763a720f855da128cd85ab91dd5a66a7ce818c08fa00006410c7f18ac549",
+    (1, 2): "5ffe091e5bd2c1ebd2b3db042fda12181850ea04b1a891aa1c4f50f7c5b26fa4",
+    (1, 3): "0d489ae056fb826c306025048dbb2cf4005936749ccb0a1539ebe2314417e057",
+    (1, 4): "235f47cb6c9ef3e933aa766aec29854c053845319ba46cc63400d061cc2f99ae",
+    (2, 1): "5387fb2f94b87e708fc98e500d7015b2f58cbe4c7c888924af198458b1ec9495",
+    (2, 2): "cefdc46d899e22e8af6e0e827f5b9d309d725811eb670cc07878bf9fdfe4d8f4",
+    (2, 3): "75b2e92b478d4038f9afcee7fffa42a5ad9543fd1aab55058028f96945e216b4",
+    (3, 2): "b3212731a7abb0ea4ec924e061cae03b6c097a702d7d2e944b915daafce3d184",
+}
+
+
 def digest_of(capsys, *argv) -> str:
     assert main(list(argv)) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -86,3 +100,12 @@ def test_witness_and_verify_bytes(capsys, tmp_path, name, goal):
     report = tmp_path / "witness.json"
     assert main(["witness", crn, "--goal", goal, "--out", str(report)]) == 0
     assert digest_of(capsys, "verify", crn, "--witness", str(report)) == verify_digest
+
+
+@pytest.mark.parametrize("species,bound", sorted(ENUMERATE))
+def test_enumerate_bytes(capsys, tmp_path, species, bound):
+    out = tmp_path / "nets.jsonl"
+    argv = ["enumerate", "--species", str(species), "--max-coeff", str(bound), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE[(species, bound)]

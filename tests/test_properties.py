@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from crn1d import (
     ad_count,
     bi_profile,
+    canonical_key,
     capacity_class_bi,
     choose_d_three,
     classify,
@@ -22,7 +23,13 @@ from crn1d import (
     parse_network,
 )
 
-from support import count_line_states, random_bi_network, random_gproblem, sample_level
+from support import (
+    brute_force_key,
+    count_line_states,
+    random_bi_network,
+    random_gproblem,
+    sample_level,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -131,6 +138,19 @@ class TestCapacity:
         rep = classify(seeded_net(seed))
         if rep.reduced is not None:
             assert rep.reduced.capacity.tag == rep.capacity.tag
+
+
+def reaction_lists(species: int):
+    vec = st.tuples(*[st.integers(min_value=0, max_value=2)] * species)
+    return st.lists(st.tuples(vec, vec), min_size=1, max_size=4)
+
+
+class TestCanonicalKey:
+    # coefficients 0-2 make equal columns and equal rows common, so ties
+    # between relabelings are exercised
+    @given(st.integers(min_value=1, max_value=5).flatmap(reaction_lists))
+    def test_matches_brute_force(self, pairs):
+        assert canonical_key(pairs) == brute_force_key(pairs)
 
 
 class TestNetworkRoundTrips:
