@@ -27,16 +27,15 @@ from fractions import Fraction
 from .arrows import AdReport, BOTH, ad_count, one_species_diagram
 from .network import (
     CrnError,
-    EssentialEmpty,
     EssentialReduction,
     EssentialSets,
     OneDimStructure,
     ReactionNetwork,
+    _essential_reduction,
     essential_sets,
     one_dim_structure,
     pair_sign_data,
     parse_network,
-    reduce_to_essential,
 )
 
 CAP_ZERO = "zero"
@@ -520,14 +519,9 @@ def classify(net: ReactionNetwork) -> Report:
         capacity = _multi_reaction_capacity(net, struct, sets, necessary, three, cert)
     reduction = None
     reduced = None
-    eh = sets.eh
-    if eh and len(eh) < net.num_species:
-        try:
-            reduction = reduce_to_essential(net)
-        except EssentialEmpty:  # pragma: no cover - eh nonempty rules this out
-            reduction = None
-        if reduction is not None:
-            reduced = classify(reduction.network)
+    if sets.eh and len(sets.eh) < net.num_species:
+        reduction = _essential_reduction(net, struct, sets)
+        reduced = classify(reduction.network)
     warnings = structural_warnings(net) + known_issue_warnings(net)
     return Report(
         network=net,

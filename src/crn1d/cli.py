@@ -21,6 +21,7 @@ network; 5 an engine failure while constructing a witness.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -548,6 +549,15 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
                 yield ReactionNetwork(names, (Reaction(a1, p1), Reaction(a2, p2)))
 
 
+def _cells(max_coeff: int, directions):
+    """``(e, c1, c2)`` for each base direction and pair of multipliers."""
+    for e in directions:
+        multipliers = _multiplier_values(max_coeff // max(abs(v) for v in e))
+        for c1 in multipliers:
+            for c2 in multipliers:
+                yield e, c1, c2
+
+
 def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
     """Yield canonical two-reaction networks with coefficients <= max_coeff.
 
@@ -556,11 +566,8 @@ def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
     Passing ``directions`` restricts the sweep to those base directions.
     """
     dirs = directions if directions is not None else _primitive_directions(species, max_coeff)
-    for e in dirs:
-        cmax = max_coeff // max(abs(v) for v in e)
-        for c1 in _multiplier_values(cmax):
-            for c2 in _multiplier_values(cmax):
-                yield from _cell_networks(species, max_coeff, e, c1, c2)
+    for e, c1, c2 in _cells(max_coeff, dirs):
+        yield from _cell_networks(species, max_coeff, e, c1, c2)
 
 
 def _cell_records(cell) -> list[tuple[str, str]]:
@@ -580,41 +587,25 @@ def _cell_records(cell) -> list[tuple[str, str]]:
 
 def cmd_enumerate(args) -> int:
     species, bound = args.species, args.max_coeff
-    cells = [
-        (species, bound, e, c1, c2)
-        for e in _primitive_directions(species, bound)
-        for c1 in _multiplier_values(bound // max(abs(v) for v in e))
-        for c2 in _multiplier_values(bound // max(abs(v) for v in e))
-    ]
+    cells = [(species, bound, *cell) for cell in _cells(bound, _primitive_directions(species, bound))]
     counts: Counter = Counter()
     total = 0
-    sink = sys.stdout
-    opened = None
-    if args.out:
-        try:
-            opened = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
-        sink = opened
-    try:
-        workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        sink = sys.stdout
+        if args.out:
+            try:
+                sink = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise UsageError(str(exc)) from exc
+        batches = map(_cell_records, cells)
         if workers > 1:
-            with Pool(workers) as pool:
-                batches = pool.imap(_cell_records, cells, chunksize=8)
-                for batch in batches:
-                    for tag, line in batch:
-                        sink.write(line + "\n")
-                        counts[tag] += 1
-                        total += 1
-        else:
-            for cell in cells:
-                for tag, line in _cell_records(cell):
-                    sink.write(line + "\n")
-                    counts[tag] += 1
-                    total += 1
-    finally:
-        if opened is not None:
-            opened.close()
+            batches = stack.enter_context(Pool(workers)).imap(_cell_records, cells, chunksize=8)
+        for batch in batches:
+            for tag, line in batch:
+                sink.write(line + "\n")
+                counts[tag] += 1
+                total += 1
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
@@ -709,10 +700,7 @@ def main(argv=None) -> int:
             parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, DimensionMismatch) as exc:
+    except (ParseError, UsageError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotOneDimensional, ZeroBaseDirection) as exc:

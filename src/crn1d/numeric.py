@@ -7,10 +7,11 @@ of an opposed reaction pair collapses to ``g(z) = K`` with
 
 on the interval where every argument is positive.  This module owns that
 function: exact interval endpoints and pole bookkeeping (offsets are stored
-as ``Fraction``), evaluation with derivatives, critical points, a bracketing
-root finder with verified residuals, a deliberately independent grid oracle
-used to cross-check root counts, and the witness verifier that replays a
-claimed set of steady states against the full network.
+as ``Fraction``), evaluation with derivatives, critical points isolated
+exactly by a Sturm chain, a root finder with verified residuals (one root
+per monotone piece), a deliberately independent grid oracle used to
+cross-check root counts, and the witness verifier that replays a claimed
+set of steady states against the full network.
 
 The root finder and the oracle share no code beyond ``GProblem`` itself;
 agreement between them is part of the test contract.
@@ -195,78 +196,94 @@ def _limit(gp: GProblem, side: str) -> tuple[str, float]:
     return "finite", math.fsum(finite_terms)
 
 
-def _scan_points(gp: GProblem, n: int = 4096) -> np.ndarray:
-    """Strictly increasing sample of the open interval, dense near the ends."""
-    lo, hi = gp.lower, gp.upper
-    base = np.linspace(1.0 / (n + 1), n / (n + 1.0), n)
-    geo = 2.0 ** -np.arange(2, 49)
-    u = np.unique(np.concatenate([base, geo, 1.0 - geo]))
-    if math.isfinite(lo) and math.isfinite(hi):
-        z = lo + (hi - lo) * u
-    elif math.isfinite(lo):
-        scale = 1.0 + abs(lo)
-        z = lo + scale * u / (1.0 - u)
-    elif math.isfinite(hi):
-        scale = 1.0 + abs(hi)
-        z = hi - scale * (1.0 - u) / u
-    else:
-        raise ConstantG("g has no poles; it is constant on the whole line")
-    if lo < 0.0 < hi:
-        z = np.unique(np.append(z, 0.0))
-    return z[(z > lo) & (z < hi)]
+def _integer_poly(p: list) -> list[int]:
+    """``p`` (ascending powers, leading zeros dropped) times a positive
+    rational: coprime integers, so every sign is kept."""
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    return [c // math.gcd(*ints) for c in ints]
 
 
-def _g1_values(gp: GProblem, z: np.ndarray) -> np.ndarray:
-    """Vectorized g' with NaN where any argument is nonpositive."""
-    a, g, d = _float_data(gp)
-    args = g[:, None] * z[None, :] + d[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = (a[:, None] * g[:, None] / args).sum(axis=0)
-    vals[(args <= 0.0).any(axis=0)] = np.nan
-    return vals
+def _divmod_poly(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over the rationals."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for off in range(len(num) - len(den), -1, -1):
+        f = quo[off] = rem[off + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[off + i] -= f * c
+    rem = rem[: len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
 
 
-def critical_points(gp: GProblem) -> tuple[float, ...]:
-    """Zeros of g' inside the interval, by sign scan plus bisection.
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """Sign of the integer polynomial ``p`` at the rational ``x``."""
+    u, v = x.numerator, x.denominator
+    acc, vp = 0, 1
+    for c in reversed(p):
+        acc, vp = acc * u + c * vp, vp * v
+    return (acc > 0) - (acc < 0)
 
-    Raises :class:`ConstantG` when g' vanishes identically (decided
-    exactly from the pole residues).
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    chain = [p, _integer_poly([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1 and (rem := _divmod_poly(chain[-2], chain[-1])[1]):
+        chain.append(_integer_poly([-c for c in rem]))
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _derivative_numerator(gp: GProblem) -> list[int]:
+    """Square-free integer polynomial with the zeros of g' inside the interval.
+
+    Over the pole groups with nonzero residue, g' = N / prod_j (z - p_j) with
+    N = sum_i r_i prod_{j != i} (z - p_j), and no pole lies inside the
+    interval.  Repeated roots of N and roots at a finite end are divided out.
     """
-    if is_constant(gp):
-        raise ConstantG("every pole group of g' has zero residue")
-    z = _scan_points(gp)
-    vals = _g1_values(gp, z)
-    crits: list[float] = []
-    prev_z = None
-    prev_v = None
-    for zi, vi in zip(z, vals):
-        if not math.isfinite(vi):
-            prev_z = None
-            continue
-        if vi == 0.0:
-            crits.append(float(zi))
-            prev_z = None
-            continue
-        if prev_z is not None and (prev_v > 0.0) != (vi > 0.0):
-            crits.append(_refine_crit(gp, prev_z, float(zi)))
-        prev_z, prev_v = float(zi), float(vi)
-    crits.sort()
-    out: list[float] = []
-    for c in crits:
-        if not out or abs(c - out[-1]) > 1e-12 * (1.0 + abs(c)):
-            out.append(c)
-    return tuple(out)
+    groups = [(pole, r) for pole, r in _pole_groups(gp) if r != 0]
+    num = [Fraction(0)] * len(groups)
+    for i, (_pole, r) in enumerate(groups):
+        term = [Fraction(r)]
+        for pole, _r in groups[:i] + groups[i + 1:]:  # term *= (z - pole)
+            term = [-pole * term[0]] + [c - pole * d for c, d in zip(term, term[1:])] + [term[-1]]
+        num = [n + t for n, t in zip(num, term)]
+    p = _integer_poly(num)
+    if len(p) > 2 and len(common := _sturm_chain(p)[-1]) > 1:
+        p = _integer_poly(_divmod_poly(p, common)[0])
+    for end in (gp.lower_exact, gp.upper_exact):
+        if end is not None and len(p) > 1 and _sign_at(p, end) == 0:
+            p = _integer_poly(_divmod_poly(p, [-end, 1])[0])
+    return p
 
 
-def _refine_crit(gp: GProblem, lo: float, hi: float) -> float:
-    flo = eval_g(gp, lo)[1]
-    for _ in range(200):
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """A zero of ``f(z)[0]`` on ``[lo, hi]``, where it changes sign.
+
+    Bisects (geometrically across orders of magnitude) to a relative width
+    of 1e-15, then takes Newton steps with the slope ``f(z)[1]`` while they
+    stay inside the bracket.
+    """
+    flo = f(lo)[0]
+    for _ in range(300):
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             break
-        mid = 0.5 * (lo + hi)
+        if lo > 0.0 and hi / lo > 4.0:
+            mid = math.sqrt(lo * hi)
+        elif hi < 0.0 and lo / hi > 4.0:
+            mid = -math.sqrt(lo * hi)
+        else:
+            mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = eval_g(gp, mid)[1]
+        fm = f(mid)[0]
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -274,18 +291,75 @@ def _refine_crit(gp: GProblem, lo: float, hi: float) -> float:
         else:
             hi = mid
     z = 0.5 * (lo + hi)
-    for _ in range(6):
-        _g, g1, g2 = eval_g(gp, z)
-        if g2 == 0.0:
+    for _ in range(10):
+        value, slope = f(z)[:2]
+        if slope == 0.0:
             break
-        step = g1 / g2
-        nz = z - step
-        if not (lo <= nz <= hi):
+        nz = z - value / slope
+        if not (lo <= nz <= hi) or nz == z:
             break
         z = nz
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
     return z
+
+
+def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> float:
+    """The zero of g' in the isolating interval ``(a, b)``, where ``p(b) != 0``.
+
+    Float g' of opposite signs at the ends hands over to the bracketed
+    solver.  Otherwise (an end at a pole or at a root of ``p``, a root of
+    even multiplicity, cancellation in a tail) halve exactly and retry.
+    """
+    sign_b = _sign_at(p, b)
+    while True:
+        fa, fb = float(a), float(b)
+        if fb <= math.nextafter(fa, math.inf):
+            return fa
+        if _sign_at(p, a):
+            try:
+                ga, gb = eval_g(gp, fa)[1], eval_g(gp, fb)[1]
+            except OutOfDomain:
+                ga = gb = 0.0
+            if min(ga, gb) < 0.0 < max(ga, gb):
+                return _bracketed_root(lambda z: eval_g(gp, z)[1:], fa, fb)
+        mid = (a + b) / 2
+        sign_mid = _sign_at(p, mid)
+        if sign_mid == 0:
+            return float(mid)
+        if sign_mid == sign_b:
+            b = mid
+        else:
+            a = mid
+
+
+def critical_points(gp: GProblem) -> tuple[float, ...]:
+    """Zeros of g' inside the interval, in increasing order.
+
+    Counted and isolated exactly by a Sturm chain of the numerator of g',
+    then polished in binary64.  Raises :class:`ConstantG` when g' vanishes
+    identically (decided exactly from the pole residues).
+    """
+    if is_constant(gp):
+        raise ConstantG("every pole group of g' has zero residue")
+    p = _derivative_numerator(gp)
+    if len(p) == 1:
+        return ()
+    chain = _sturm_chain(p)
+    bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # Cauchy: every root has |z| < bound
+    lo, hi = gp.lower_exact, gp.upper_exact
+    lo = Fraction(min(-bound, hi - 1) if lo is None else lo)
+    hi = Fraction(max(bound, lo + 1) if hi is None else hi)
+    # (a, b] holds variations(a) - variations(b) roots; halve until one each
+    out: list[float] = []
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append(float(b) if _sign_at(p, b) == 0 else _polish_critical(gp, p, a, b))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            vm = _variations(chain, mid)
+            stack += [(mid, b, vm, vb), (a, mid, va, vm)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -323,49 +397,21 @@ def _march_to_sign(gp: GProblem, K: float, start: float, endpoint: float, want_p
     return None
 
 
-def _bisect_root(gp: GProblem, K: float, lo: float, hi: float) -> float:
-    flo = eval_g(gp, lo)[0] - K
-    for _ in range(300):
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-        if lo > 0.0 and hi / lo > 4.0:
-            mid = math.sqrt(lo * hi)
-        elif hi < 0.0 and lo / hi > 4.0:
-            mid = -math.sqrt(lo * hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = eval_g(gp, mid)[0] - K
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(10):
-        g, g1, _g2 = eval_g(gp, z)
-        if g1 == 0.0:
-            break
-        nz = z - (g - K) / g1
-        if not (lo <= nz <= hi):
-            break
-        if nz == z:
-            break
-        z = nz
-    return z
-
-
 def find_roots(gp: GProblem, K) -> RootSet:
     """All solutions of g(z) = K, one per strictly monotone piece.
 
     Pieces are delimited by the critical points; a root is claimed only when
     K lies strictly between the piece's end values (limits at the interval
-    endpoints are classified exactly).  Each root is bracketed, bisected and
-    polished; the residual |g - K| is recorded.
+    endpoints are classified exactly).  Each root is bracketed and solved
+    with the bracketed solver; the residual |g - K| is recorded.  Roots come
+    out in increasing order.
     """
     K = float(K)
+
+    def level(z):
+        g, g1, _g2 = eval_g(gp, z)
+        return g - K, g1
+
     crits = critical_points(gp)
     kind_lo, val_lo = _limit(gp, "lower")
     kind_hi, val_hi = _limit(gp, "upper")
@@ -373,17 +419,15 @@ def find_roots(gp: GProblem, K) -> RootSet:
     crit_vals = [eval_g(gp, c)[0] for c in crits]
     suspected = tuple(c for c, v in zip(crits, crit_vals) if abs(v - K) <= tol_deg)
 
-    bounds: list[tuple[float, float | None]] = [(gp.lower, None)]
-    bounds += [(c, v) for c, v in zip(crits, crit_vals)]
-    bounds.append((gp.upper, None))
-    values = [val_lo] + crit_vals + [val_hi]
+    ends = [gp.lower, *crits, gp.upper]
+    values = [val_lo, *crit_vals, val_hi]
 
     roots: list[float] = []
     brackets: list[tuple[float, float]] = []
     residuals: list[float] = []
-    for i in range(len(bounds) - 1):
-        zl, vl = bounds[i][0], values[i]
-        zr, vr = bounds[i + 1][0], values[i + 1]
+    for i in range(len(ends) - 1):
+        zl, zr = ends[i], ends[i + 1]
+        vl, vr = values[i], values[i + 1]
         if math.isfinite(vl) and abs(vl - K) <= tol_deg:
             continue
         if math.isfinite(vr) and abs(vr - K) <= tol_deg:
@@ -391,7 +435,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
         if not (min(vl, vr) < K < max(vl, vr)):
             continue
         left_is_crit = i > 0
-        right_is_crit = i + 1 < len(bounds) - 1
+        right_is_crit = i + 1 < len(ends) - 1
         if left_is_crit:
             lo = zl
         else:
@@ -404,7 +448,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
             hi = _march_to_sign(gp, K, start, zr, want_positive=vr > K)
         if lo is None or hi is None or not (lo < hi):
             raise CrnError(f"failed to bracket the root of g = {K} in piece ({zl}, {zr})")
-        z = _bisect_root(gp, K, lo, hi)
+        z = _bracketed_root(level, lo, hi)
         gz, slope, _ = eval_g(gp, z)
         res = abs(gz - K)
         # Steep pieces (root hugging a pole) cannot beat a few ulps of
@@ -415,18 +459,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
         roots.append(z)
         brackets.append((lo, hi))
         residuals.append(res)
-
-    order = sorted(range(len(roots)), key=lambda q: roots[q])
-    out_r: list[float] = []
-    out_b: list[tuple[float, float]] = []
-    out_res: list[float] = []
-    for q in order:
-        if out_r and abs(roots[q] - out_r[-1]) <= 1e-9 * (1.0 + abs(roots[q])):
-            continue
-        out_r.append(roots[q])
-        out_b.append(brackets[q])
-        out_res.append(residuals[q])
-    return RootSet(tuple(out_r), tuple(out_b), tuple(out_res), suspected)
+    return RootSet(tuple(roots), tuple(brackets), tuple(residuals), suspected)
 
 
 def _interior_start(gp: GProblem) -> float:

@@ -45,7 +45,16 @@ from .network import (
     one_dim_structure,
     pair_sign_data,
 )
-from .numeric import GProblem, NumericOverflow, critical_points, eval_g, find_roots, monomials, verify_witness
+from .numeric import (
+    GProblem,
+    NumericOverflow,
+    _bracketed_root,
+    critical_points,
+    eval_g,
+    find_roots,
+    monomials,
+    verify_witness,
+)
 
 
 class GoalUnattainable(CrnError):
@@ -396,19 +405,13 @@ def _balanced_pair_weights(alphas, gammas):
     return None, 0
 
 
-def _balance(net: ReactionNetwork, lam, kappa, x) -> float:
-    return math.fsum(lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x)))
-
-
-def _balance_slope(net: ReactionNetwork, lam, kappa, gammas, x) -> float:
-    total = []
-    for j, (rx, mono) in enumerate(zip(net.reactions, monomials(net, x))):
-        inner = 0.0
-        for k, e in enumerate(rx.reactant):
-            if e:
-                inner += e * gammas[k] / x[k]
-        total.append(lam[j] * kappa[j] * mono * inner)
-    return math.fsum(total)
+def _balance(net: ReactionNetwork, lam, kappa, gammas, x) -> tuple[float, float]:
+    """The rate balance at ``x`` and its derivative along ``gammas``."""
+    terms = [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
+    slopes = [
+        t * sum(e * gammas[k] / x[k] for k, e in enumerate(rx.reactant) if e) for t, rx in zip(terms, net.reactions)
+    ]
+    return math.fsum(terms), math.fsum(slopes)
 
 
 def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) -> Witness | None:
@@ -472,11 +475,12 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
         kappa = [eps] * net.num_reactions
         kappa[i] = 1.0
         kappa[j] = kappa_j
+
+        def balance(zz):
+            return _balance(net, lam, kappa, gammas, [g * zz + dv for g, dv in zip(gammas, d_float)])
+
         polished = []
         ok = True
-        def x_of(zz):
-            return [g * zz + dv for g, dv in zip(gammas, d_float)]
-
         for zr in z_pair:
             # the bracket must not swallow a neighbouring pair root
             near = min(
@@ -484,41 +488,17 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
                 default=math.inf,
             )
             h = min(gap / 4.0, near / 2.0, (zr - lo_dom) / 2.0, (hi_dom - zr) / 2.0)
-            lo, hi = zr - h, zr + h
-            flo = _balance(net, lam, kappa, x_of(lo))
-            fhi = _balance(net, lam, kappa, x_of(hi))
+            flo, fhi = balance(zr - h)[0], balance(zr + h)[0]
             if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
                 ok = False
                 break
-            for _b in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                fm = _balance(net, lam, kappa, x_of(mid))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            z = 0.5 * (lo + hi)
-            for _n in range(8):
-                xs = x_of(z)
-                f = _balance(net, lam, kappa, xs)
-                fp = _balance_slope(net, lam, kappa, gammas, xs)
-                if fp == 0.0:
-                    break
-                nz = z - f / fp
-                if not (z_pair[0] - gap <= nz <= z_pair[1] + gap) or nz == z:
-                    break
-                z = nz
+            z = _bracketed_root(balance, zr - h, zr + h)
             polished.append(z)
         if ok and abs(polished[1] - polished[0]) > 1e-9 * (1 + abs(polished[1])):
             states = tuple(tuple(g * z + dv for g, dv in zip(gammas, d_float)) for z in polished)
             flags = []
             for x in states:
-                slope = _balance_slope(net, lam, kappa, gammas, x)
+                slope = _balance(net, lam, kappa, gammas, x)[1]
                 scale = sum(
                     abs(lam[jj] * kappa[jj])
                     * mono

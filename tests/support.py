@@ -5,8 +5,10 @@ scratch: restricted to the line, the rate balance is a polynomial in the
 line parameter, which we expand with exact rational coefficients and
 count with a Sturm chain, also exact.  None of the package's interval
 walking, bracketing or sampling code is involved, so agreement between
-the two is meaningful evidence.  The isomorphism key is likewise
-recomputed by trying every relabeling.
+the two is meaningful evidence.  The number of critical points of the
+scalar reduction g is counted the same way, from the numerator of g' built
+species by species.  The isomorphism key is likewise recomputed by trying
+every relabeling.
 """
 
 from __future__ import annotations
@@ -193,6 +195,65 @@ def count_line_states(net: ReactionNetwork, kappa, c):
     chain = _sturm_chain(total)
     v_hi = _variations_at(chain, hi) if hi is not None else _variations_at_plus_inf(chain)
     return _variations_at(chain, lo) - v_hi
+
+
+# g-problems that a sign scan of g' on a float grid gets wrong: a pair of
+# critical points 8e-5 apart next to a third far away, and a tail where g'
+# is about 1e-33 near z = -1e15 and keeps its sign.
+CLUSTERED = GProblem(
+    (3, -3, 1, 2, 1, -2),
+    (-1, -2, -1, -1, 1, -1),
+    (
+        Fraction(90003, 10000),
+        Fraction(90000001, 5000000),
+        Fraction(89999, 10000),
+        Fraction(4500000001, 500000000),
+        Fraction(4501, 500),
+        Fraction(4499999, 500000),
+    ),
+)
+FLAT_TAIL = GProblem(
+    (-1, 2, 1, -2),
+    (-1, -2, -1, -1),
+    (Fraction(289997, 10000), Fraction(58000003, 1000000), 29, Fraction(2897, 100)),
+)
+
+
+def exact_critical_count(gp) -> int:
+    """Number of distinct zeros of g' inside the interval of ``gp``, exact.
+
+    g' = sum_k a_k g_k / (g_k z + d_k) has the numerator
+    sum_k a_k g_k prod_{j != k} (g_j z + d_j) over the moving species, one
+    term per species (shared poles are not merged).  Its zeros at the
+    interval ends are divided out, and a Cauchy bound stands in for an
+    infinite end.  Only the fields of ``gp`` are used.
+    """
+    moving = [(a, g, _exact(d)) for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets) if g != 0]
+    total = [Fraction(0)] * len(moving)
+    for k, (a, g, _d) in enumerate(moving):
+        term = [Fraction(a * g)]
+        for j, (_a, gj, dj) in enumerate(moving):
+            if j != k:
+                term = _poly_mul(term, [dj, Fraction(gj)])
+        for i, coeff in enumerate(term):
+            total[i] += coeff
+    while total and total[-1] == 0:
+        total.pop()
+    assert total, "g' vanishes identically"
+    lows = [-d / g for _a, g, d in moving if g > 0]
+    highs = [-d / g for _a, g, d in moving if g < 0]
+    lo = max(lows) if lows else None
+    hi = min(highs) if highs else None
+    for end in (lo, hi):
+        while end is not None and len(total) > 1 and _poly_eval(total, end) == 0:
+            total = _poly_deflate(total, end)
+    if len(total) == 1:
+        return 0
+    bound = 1 + max(abs(c / total[-1]) for c in total[:-1])
+    lo = (-bound if hi is None else min(-bound, hi)) if lo is None else lo
+    hi = max(bound, lo) if hi is None else hi
+    chain = _sturm_chain(total)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def state_residual(net: ReactionNetwork, kappa, x) -> float:

@@ -27,31 +27,31 @@ CLASSIFY = {
 # (network, goal): (witness report digest, verify report digest)
 WITNESS = {
     ("gb", "three"): (
-        "620974218d5d2e65c2308d310c1ab21bff0aa1c72c867f99bed6880ec3e07edb",
-        "fecddf5c754f834747c9ca0ddf745cd40dd63d6a4682bcda835e5b6cbf60cca0",
+        "1f5ef4ffff0fe50aec59faa8483828f300dfcc5cf114da29f6c64fb3a2a26c3a",
+        "30a2ab0265a0c39852faba0700e6979941222dfd53cf93ecf7ac74d0c0b2e595",
     ),
     ("gc", "three"): (
-        "0393cd451fa4821ae1c08428fd1584486f18a756430a12414ecd45bc11fd9142",
-        "4d2540595e6edc859c3a122e3003a63a0ba3bda9e459beae7ed20cd861174d9a",
+        "f11ec693eccfb36768dcc449c25c30b0e0b6df9fbd968ba022a331c07b6c4f8e",
+        "e1234f5eff7eefdec331abcfee2f88e668320d38c435e071092242b8e05427e8",
     ),
     ("gd", "three"): (
-        "8228ee74aa4c2b18fe7bb1888d4d78902ddb39d552b5d793ecde53c764dd09ce",
-        "8736e3311241b0e2b6906d45a0893086cc0ef07ccbb7043f77be41e94980cda4",
+        "f6920883de06181f7ebb5039bd2b14051c85b18d190d1de6215c82bb2c5c80d0",
+        "23c93ae31ce5aea67d16e4ec649ba363960ab890f8779297168815250f172166",
     ),
     ("gh", "three"): (
-        "d608d2e41d04b51d8dcef52a2ed8383162892bea08db61aed8a65455083835e1",
-        "4a389724faa0b5b0181045f53ac1451b72815cc399370f96aabce3f384abbdeb",
+        "1c8b2a7cf97c53ed67b745a26895c234d0f5b41b6c1c2228687f4933fb78802e",
+        "1bf87e18083496ad2b2122b1fb02ff7ccffb562ac2b198cb2873b64e69df40fe",
     ),
     ("gb", "two"): (
         "ae300fedb98e7e3502b5bde3c72a802ef6892fbedd421ba2bbc2219ffefffe75",
         "ba8d9769159703d30c63a557d4c32d84559a6209365453ddcb32903e83edbd96",
     ),
     ("gc", "two"): (
-        "81a4ba4593be9c9ec9032c4189f5c0fa14204aa1b8619f34af38c1be96c7cb5c",
-        "1a0763dcbb6529d77279d4e36c2662919e1c8c6305ebd3def42adca2ab00d3e5",
+        "6d7302d1a4ab4926234de62ebd09484d56936490483c1511b429f626d42b004a",
+        "87b39a27e25f25cf8477567b6a7ca21e46b357be9023316f53aa5daecdba451b",
     ),
     ("gd", "two"): (
-        "9472373a67c6a311a80b98c4b9648d4da352af99a224c2cfaa9838b7189fd3e9",
+        "33c8f9e28de441f38c03e99f81a4f4506a1b667b58ceaf36db06e0eb3360db71",
         "2984c0b2faa39a145e592630867d0b73d44b23b5bd940eb4fac356b36e44407d",
     ),
     ("gh", "two"): (
@@ -59,8 +59,8 @@ WITNESS = {
         "88089690726954862bb17e0a217130b5342ca1fb3ce0ef039c1517dbee3f7352",
     ),
     ("w1", "two"): (
-        "8702397ee9e9db2ffb26da79e5785af37b67cabfaaab124f0f07ad00837e373d",
-        "28b1e6a7eda3a1092983e3ad33ade4897e759b3c6538a4ec31a37ff5b26d8f03",
+        "e880c11359b1388e97be1237d433653f6c6069cacd60dbfed3756d056bbcea7a",
+        "d1bda1a07e51dd59f1111440818d2559449f377095792f4d9bedf1a9db8bb1cd",
     ),
     ("nb", "two"): (
         "1375953858804bf8d0259e753ca7c637c1255eed9ed2bc8e44d39c6ce3bdad46",

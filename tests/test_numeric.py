@@ -22,6 +22,8 @@ from crn1d import (
     verify_witness,
 )
 
+from support import CLUSTERED, FLAT_TAIL
+
 # gb-shaped problem with recipe offsets: g'(z) has roots exactly at 0 and 13
 GB_LIKE = GProblem((2, 1, -2), (1, 1, 1), (16, Fraction(8, 15), 1))
 
@@ -92,6 +94,16 @@ class TestCriticalPoints:
 
     def test_monotone_piece_has_none(self):
         assert critical_points(GProblem((2, -1), (1, 1), (1, 2))) == ()
+
+    def test_close_pair_is_found(self):
+        # two critical points 8e-5 apart, next to a third far away
+        crits = critical_points(CLUSTERED)
+        assert crits == pytest.approx((-0.000598, 8.9996589, 8.9997362), abs=1e-6)
+        assert len(find_roots(CLUSTERED, -5.614283631956511).roots) == 4
+
+    def test_cancelling_tail_has_none(self):
+        # g' is about 1e-33 near z = -1e15 and keeps its sign
+        assert critical_points(FLAT_TAIL) == ()
 
     def test_constant_g(self):
         gp = GProblem((1, -1), (1, 1), (1, 1))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from crn1d import (
@@ -24,8 +25,11 @@ from crn1d import (
 )
 
 from support import (
+    CLUSTERED,
+    FLAT_TAIL,
     brute_force_key,
     count_line_states,
+    exact_critical_count,
     random_bi_network,
     random_gproblem,
     sample_level,
@@ -214,6 +218,17 @@ class TestRootFinding:
         crits = critical_points(gp)
         for z1, z2 in zip(rs.roots, rs.roots[1:]):
             assert any(z1 < c < z2 for c in crits)
+
+
+class TestCriticalPoints:
+    @given(seeds)
+    def test_count_is_exact(self, seed):
+        gp = random_gproblem(Random(seed))
+        assert len(critical_points(gp)) == exact_critical_count(gp)
+
+    @pytest.mark.parametrize("gp", [CLUSTERED, FLAT_TAIL], ids=["clustered", "flat_tail"])
+    def test_reproducers(self, gp):
+        assert len(critical_points(gp)) == exact_critical_count(gp)
 
 
 class TestRecipes:
