@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +70,8 @@ class GProblem:
     ``alphas`` and ``gammas`` are integers per species; ``offsets`` are kept
     as exact rationals so pole coincidences and the interval endpoints are
     decided without floating point.  ``lower_exact``/``upper_exact`` are
-    ``None`` for an unbounded side.
+    ``None`` for an unbounded side.  Everything derived from the three
+    fields is computed once per instance, on first use.
     """
 
     alphas: tuple[int, ...]
@@ -94,25 +95,44 @@ class GProblem:
         if lo is not None and hi is not None and lo >= hi:
             raise EmptyInterval(f"interval is empty: lower {lo} >= upper {hi}")
 
-    @property
+    @cached_property
+    def poles(self) -> tuple[Fraction | None, ...]:
+        """Exact pole ``-d / gamma`` of each species; ``None`` for a fixed one."""
+        return tuple(-d / g if g else None for g, d in zip(self.gammas, self.offsets))
+
+    @cached_property
     def lower_exact(self) -> Fraction | None:
-        vals = [-d / g for g, d in zip(self.gammas, self.offsets) if g > 0]
+        vals = [p for g, p in zip(self.gammas, self.poles) if g > 0]
         return max(vals) if vals else None
 
-    @property
+    @cached_property
     def upper_exact(self) -> Fraction | None:
-        vals = [-d / g for g, d in zip(self.gammas, self.offsets) if g < 0]
+        vals = [p for g, p in zip(self.gammas, self.poles) if g < 0]
         return min(vals) if vals else None
 
-    @property
+    @cached_property
     def lower(self) -> float:
         lo = self.lower_exact
         return -math.inf if lo is None else float(lo)
 
-    @property
+    @cached_property
     def upper(self) -> float:
         hi = self.upper_exact
         return math.inf if hi is None else float(hi)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, float], ...]:
+        """``(alpha, gamma, float(offset))`` per species: what ``eval_g`` reads."""
+        return tuple((a, g, float(d)) for a, g, d in zip(self.alphas, self.gammas, self.offsets))
+
+    @cached_property
+    def pole_groups(self) -> tuple[tuple[Fraction, int], ...]:
+        """Exact poles of g' with their residues (sum of alphas sharing the pole)."""
+        groups: dict[Fraction, int] = {}
+        for a, p in zip(self.alphas, self.poles):
+            if p is not None:
+                groups[p] = groups.get(p, 0) + a
+        return tuple(sorted(groups.items()))
 
 
 @lru_cache(maxsize=512)
@@ -123,21 +143,9 @@ def _float_data(gp: GProblem):
     return a, g, d
 
 
-@lru_cache(maxsize=512)
-def _pole_groups(gp: GProblem) -> tuple[tuple[Fraction, int], ...]:
-    """Exact poles of g' with their residues (sum of alphas sharing the pole)."""
-    groups: dict[Fraction, int] = {}
-    for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
-        if g == 0:
-            continue
-        p = -d / Fraction(g)
-        groups[p] = groups.get(p, 0) + a
-    return tuple(sorted(groups.items()))
-
-
 def is_constant(gp: GProblem) -> bool:
     """g is constant iff every pole group of g' has zero residue."""
-    return all(res == 0 for _p, res in _pole_groups(gp))
+    return all(res == 0 for _p, res in gp.pole_groups)
 
 
 def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
@@ -148,8 +156,8 @@ def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
     g0 = []
     g1 = []
     g2 = []
-    for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
-        arg = g * z + float(d)
+    for a, g, d in gp.terms:
+        arg = g * z + d
         if arg <= 0.0:
             raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
         if a == 0:
@@ -163,10 +171,10 @@ def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
 def _limit(gp: GProblem, side: str) -> tuple[str, float]:
     """Limit of g at an interval endpoint: ('+inf'|'-inf'|'finite', value)."""
     if side == "lower":
-        end = gp.lower_exact
+        end, fend = gp.lower_exact, gp.lower
         inf_coeff = sum(a for a, g in zip(gp.alphas, gp.gammas) if g < 0)
     else:
-        end = gp.upper_exact
+        end, fend = gp.upper_exact, gp.upper
         inf_coeff = sum(a for a, g in zip(gp.alphas, gp.gammas) if g > 0)
     if end is None:
         if inf_coeff > 0:
@@ -174,20 +182,20 @@ def _limit(gp: GProblem, side: str) -> tuple[str, float]:
         if inf_coeff < 0:
             return "-inf", -math.inf
         val = math.fsum(
-            a * math.log(abs(g)) if g != 0 else a * math.log(float(d))
-            for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets)
+            a * math.log(abs(g)) if g != 0 else a * math.log(d)
+            for a, g, d in gp.terms
             if a != 0
         )
         return "finite", val
     sigma = 0
     finite_terms = []
-    for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
-        if g != 0 and -d / Fraction(g) == end:
+    for (a, g, d), pole in zip(gp.terms, gp.poles):
+        if pole == end:
             sigma += a
             if a != 0:
                 finite_terms.append(a * math.log(abs(g)))
         elif a != 0:
-            arg = g * float(end) + float(d)
+            arg = g * fend + d
             finite_terms.append(a * math.log(arg))
     if sigma > 0:
         return "-inf", -math.inf
@@ -248,7 +256,7 @@ def _derivative_numerator(gp: GProblem) -> list[int]:
     N = sum_i r_i prod_{j != i} (z - p_j), and no pole lies inside the
     interval.  Repeated roots of N and roots at a finite end are divided out.
     """
-    groups = [(pole, r) for pole, r in _pole_groups(gp) if r != 0]
+    groups = [(pole, r) for pole, r in gp.pole_groups if r != 0]
     num = [Fraction(0)] * len(groups)
     for i, (_pole, r) in enumerate(groups):
         term = [Fraction(r)]

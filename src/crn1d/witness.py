@@ -257,10 +257,10 @@ def choose_K_three(gp: GProblem) -> float:
     from the origin's value.
     """
     g0, g1_0, g2_0 = eval_g(gp, 0.0)
-    scale1 = sum(abs(a * g) / float(d) for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets) if g != 0)
+    scale1 = sum(abs(a * g) / d for a, g, d in gp.terms if g != 0)
     if abs(g1_0) > 1e-9 * (1.0 + scale1):
         raise RecipeFailed(f"no critical point at the origin (g'(0) = {g1_0})")
-    scale2 = sum(abs(a) * g * g / float(d) ** 2 for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets) if g != 0)
+    scale2 = sum(abs(a) * g * g / d**2 for a, g, d in gp.terms if g != 0)
     if abs(g2_0) <= 1e-12 * (1.0 + scale2):
         raise RecipeFailed("flat curvature at the origin")
     crits = [c for c in critical_points(gp) if abs(c) > 1e-8]
@@ -303,7 +303,7 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
     for z in zs:
         if not (gp.lower < z < gp.upper):
             raise RootOutsideInterval(f"root {z} outside ({gp.lower}, {gp.upper})")
-        x = tuple(g * z + float(dk) for g, dk in zip(gammas, gp.offsets))
+        x = tuple(g * z + dk for _a, g, dk in gp.terms)
         if any(v <= 0 for v in x):
             raise RootOutsideInterval(f"state at z = {z} is not strictly positive")
         _g, g1, _g2 = eval_g(gp, z)

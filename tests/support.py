@@ -7,7 +7,8 @@ count with a Sturm chain, also exact.  None of the package's interval
 walking, bracketing or sampling code is involved, so agreement between
 the two is meaningful evidence.  The number of critical points of the
 scalar reduction g is counted the same way, from the numerator of g' built
-species by species.  The isomorphism key is likewise recomputed by trying
+species by species, and so is the number of solutions of g = K that
+screens the levels handed to the root finder.  The isomorphism key is likewise recomputed by trying
 every relabeling.
 """
 
@@ -16,14 +17,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 from crn1d import (
     GProblem,
     Reaction,
     ReactionNetwork,
-    critical_points,
-    eval_g,
     is_constant,
     one_dim_structure,
 )
@@ -219,6 +218,31 @@ FLAT_TAIL = GProblem(
 )
 
 
+def _window(gp):
+    """Exact ends (lo, hi) of the interval of ``gp``, None where unbounded."""
+    lows = [-_exact(d) / g for g, d in zip(gp.gammas, gp.offsets) if g > 0]
+    highs = [-_exact(d) / g for g, d in zip(gp.gammas, gp.offsets) if g < 0]
+    return max(lows, default=None), min(highs, default=None)
+
+
+def _roots_in_window(total, lo, hi) -> int:
+    """Distinct roots of the nonzero polynomial ``total`` strictly between
+    ``lo`` and ``hi`` (None for an infinite end)."""
+    total = list(total)
+    while total[-1] == 0:
+        total.pop()
+    for end in (lo, hi):
+        while end is not None and len(total) > 1 and _poly_eval(total, end) == 0:
+            total = _poly_deflate(total, end)
+    if len(total) == 1:
+        return 0
+    bound = 1 + math.ceil(max(abs(c / total[-1]) for c in total[:-1]))
+    lo = (-bound if hi is None else min(-bound, hi)) if lo is None else lo
+    hi = max(bound, lo) if hi is None else hi
+    chain = _sturm_chain(total)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
+
+
 def exact_critical_count(gp) -> int:
     """Number of distinct zeros of g' inside the interval of ``gp``, exact.
 
@@ -237,23 +261,34 @@ def exact_critical_count(gp) -> int:
                 term = _poly_mul(term, [dj, Fraction(gj)])
         for i, coeff in enumerate(term):
             total[i] += coeff
-    while total and total[-1] == 0:
-        total.pop()
-    assert total, "g' vanishes identically"
-    lows = [-d / g for _a, g, d in moving if g > 0]
-    highs = [-d / g for _a, g, d in moving if g < 0]
-    lo = max(lows) if lows else None
-    hi = min(highs) if highs else None
-    for end in (lo, hi):
-        while end is not None and len(total) > 1 and _poly_eval(total, end) == 0:
-            total = _poly_deflate(total, end)
-    if len(total) == 1:
-        return 0
-    bound = 1 + max(abs(c / total[-1]) for c in total[:-1])
-    lo = (-bound if hi is None else min(-bound, hi)) if lo is None else lo
-    hi = max(bound, lo) if hi is None else hi
-    chain = _sturm_chain(total)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+    assert any(total), "g' vanishes identically"
+    return _roots_in_window(total, *_window(gp))
+
+
+def level_counter(gp):
+    """``count(L)``: the number of distinct solutions of g = ln L inside
+    the interval of ``gp``, exact.
+
+    exp(g) = prod_k (g_k z + d_k)^(a_k), so on the interval g = ln L
+    exactly where P - L Q vanishes, with P the product of the factors of
+    positive exponent and Q that of the negative ones.  Only the fields of
+    ``gp`` are used.
+    """
+    P, Q = [Fraction(1)], [Fraction(1)]
+    for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
+        for _ in range(abs(a)):
+            if a > 0:
+                P = _poly_mul(P, [_exact(d), Fraction(g)])
+            else:
+                Q = _poly_mul(Q, [_exact(d), Fraction(g)])
+    window = _window(gp)
+
+    def count(L: Fraction) -> int:
+        total = [p - L * q for p, q in zip_longest(P, Q, fillvalue=0)]
+        assert any(total), "g is constant at the level"
+        return _roots_in_window(total, *window)
+
+    return count
 
 
 def state_residual(net: ReactionNetwork, kappa, x) -> float:
@@ -340,35 +375,42 @@ def random_gproblem(rng: random.Random, max_species: int = 6) -> GProblem:
         return gp
 
 
-def sample_level(rng: random.Random, gp: GProblem, tries: int = 60):
-    """A level K for g that stays relatively clear of critical values.
+def _g_value(gp: GProblem, z: float) -> float | None:
+    """g at ``z`` in binary64, or None off the interval."""
+    terms = []
+    for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
+        arg = g * z + float(d)
+        if arg <= 0.0:
+            return None
+        if a:
+            terms.append(a * math.log(arg))
+    return math.fsum(terms)
 
-    Returns None when no such level was found (g nearly flat); callers
-    skip those draws.
+
+def sample_level(rng: random.Random, gp: GProblem, tries: int = 60):
+    """A level K for g that stays clear of critical and limit values.
+
+    K is accepted only when the exact count of solutions of g = ln L is the
+    same at L = exp(K) and at L (1 -+ 1e-6).  Returns None when no such
+    level was found (g nearly flat); callers skip those draws.
     """
-    lo, hi = gp.lower, gp.upper
-    finite = [abs(v) for v in (lo, hi) if math.isfinite(v)]
+    lo, hi = (None if v is None else float(v) for v in _window(gp))
+    finite = [abs(v) for v in (lo, hi) if v is not None]
     reach = 8.0 * (1.0 + (max(finite) if finite else 1.0))
-    a = lo if math.isfinite(lo) else (hi if math.isfinite(hi) else 0.0) - reach
-    b = hi if math.isfinite(hi) else (lo if math.isfinite(lo) else 0.0) + reach
-    crit_vals = []
-    for z in critical_points(gp):
-        try:
-            crit_vals.append(eval_g(gp, z)[0])
-        except Exception:
-            pass
+    a = lo if lo is not None else (hi if hi is not None else 0.0) - reach
+    b = hi if hi is not None else (lo if lo is not None else 0.0) + reach
+    count = level_counter(gp)
+    near = Fraction(1, 10**6)
     for _ in range(tries):
         u = rng.uniform(0.03, 0.97)
-        z0 = a + u * (b - a)
-        try:
-            k = eval_g(gp, z0)[0]
-        except Exception:
+        k = _g_value(gp, a + u * (b - a))
+        if k is None:
             continue
         if rng.random() < 0.25:
             k += rng.choice((-1.0, 1.0)) * rng.uniform(4.0, 24.0)
-        if not math.isfinite(k):
-            continue
-        if all(abs(k - v) > 1e-5 * (1.0 + abs(k) + abs(v)) for v in crit_vals):
+        L = Fraction(math.exp(k))
+        counts = {count(L * f) for f in (1 - near, 1, 1 + near)}
+        if len(counts) == 1:
             return k
     return None
 

@@ -1,5 +1,5 @@
-"""Byte identity of the JSON reports on the fixture networks and of the
-enumeration stream.
+"""Byte identity of the JSON reports on the fixture networks, of the
+enumeration stream and of the root finder's results.
 
 Each report is pinned by its SHA-256.  A change to the float arithmetic
 (even the order of two multiplications) or to the report layout changes a
@@ -8,12 +8,14 @@ why.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from crn1d import main
+from crn1d import critical_points, find_roots, main
 
 from conftest import DATA
+from support import random_gproblem
 
 CLASSIFY = {
     "gb": "b22fc9e34ed1da7b436df13673387e864583fa0c3d54d39d7b85e9589d8bc7d9",
@@ -81,6 +83,9 @@ ENUMERATE = {
     (3, 2): "b3212731a7abb0ea4ec924e061cae03b6c097a702d7d2e944b915daafce3d184",
 }
 
+# repr of critical_points and find_roots over 200 seeded g-problems
+ROOTS = "fdbc7b6d1026532c92de27ad33c0633835d3b2cf39a4c0c9d73462b97e8fd289"
+
 
 def digest_of(capsys, *argv) -> str:
     assert main(list(argv)) == 0
@@ -109,3 +114,18 @@ def test_enumerate_bytes(capsys, tmp_path, species, bound):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE[(species, bound)]
+
+
+def test_root_finder_bytes():
+    h = hashlib.sha256()
+    for i in range(200):
+        rng = random.Random(f"pin-{i}")
+        gp = random_gproblem(rng)
+        K = rng.uniform(-6, 6)
+        for call in (lambda: critical_points(gp), lambda: find_roots(gp, K)):
+            try:
+                out = repr(call())
+            except Exception as exc:
+                out = type(exc).__name__
+            h.update(out.encode() + b"\n")
+    assert h.hexdigest() == ROOTS

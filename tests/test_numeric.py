@@ -84,6 +84,19 @@ class TestEvalG:
         with pytest.raises(OutOfDomain):
             eval_g(gp, -2.0)
 
+    def test_warm_problem_does_no_exact_arithmetic(self, monkeypatch):
+        # domain (-1, 8/15); a species without weight and a fixed one ride along
+        gp = GProblem((2, 1, -2, 0, 3), (1, -1, 1, 2, 0), (16, Fraction(8, 15), 1, 5, Fraction(1, 3)))
+        points = (-0.75, -0.5, 0.0, 0.25, 0.5)
+        expected = [eval_g(gp, z) for z in points]
+
+        def refuse(*_args):
+            raise AssertionError("exact arithmetic in eval_g on a warm problem")
+
+        monkeypatch.setattr(Fraction, "__truediv__", refuse)
+        monkeypatch.setattr(Fraction, "__neg__", refuse)
+        assert [eval_g(gp, z) for z in points] == expected
+
 
 class TestCriticalPoints:
     def test_exact_pair(self):

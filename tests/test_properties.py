@@ -1,12 +1,16 @@
 """Invariants that must hold across randomly generated inputs."""
 
+import math
+import pickle
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crn1d import (
+    GProblem,
     ad_count,
     bi_profile,
     canonical_key,
@@ -16,6 +20,7 @@ from crn1d import (
     conservation_constants,
     critical_points,
     embed,
+    eval_g,
     find_roots,
     format_network,
     g_problem,
@@ -218,6 +223,42 @@ class TestRootFinding:
         crits = critical_points(gp)
         for z1, z2 in zip(rs.roots, rs.roots[1:]):
             assert any(z1 < c < z2 for c in crits)
+
+
+class TestGProblemCache:
+    @given(seeds)
+    def test_cache_is_invisible(self, seed):
+        warm = random_gproblem(Random(seed))
+        critical_points(warm)
+        eval_g(warm, 0.0)
+        fresh = GProblem(warm.alphas, warm.gammas, warm.offsets)
+        thawed = pickle.loads(pickle.dumps(warm))
+        for other in (fresh, thawed):
+            assert other == warm
+            assert hash(other) == hash(warm)
+            assert repr(other) == repr(warm)
+
+        poles = [-Fraction(d) / g if g else None for g, d in zip(warm.gammas, warm.offsets)]
+        lows = [p for g, p in zip(warm.gammas, poles) if g > 0]
+        highs = [p for g, p in zip(warm.gammas, poles) if g < 0]
+        residues = {}
+        for a, p in zip(warm.alphas, poles):
+            if p is not None:
+                residues[p] = residues.get(p, 0) + a
+        expected = {
+            "poles": tuple(poles),
+            "lower_exact": max(lows, default=None),
+            "upper_exact": min(highs, default=None),
+            "lower": float(max(lows)) if lows else -math.inf,
+            "upper": float(min(highs)) if highs else math.inf,
+            "terms": tuple((a, g, float(d)) for a, g, d in zip(warm.alphas, warm.gammas, warm.offsets)),
+            "pole_groups": tuple(sorted(residues.items())),
+        }
+        cached = {name for name, v in vars(GProblem).items() if isinstance(v, cached_property)}
+        assert cached == set(expected)
+        for gp in (warm, fresh, thawed):
+            for name, value in expected.items():
+                assert getattr(gp, name) == value, name
 
 
 class TestCriticalPoints:
