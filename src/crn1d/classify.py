@@ -323,7 +323,6 @@ class SufficientCertificate:
     """
 
     pair: tuple[int, int]
-    necessary_pair_passes: bool
     satisfied: bool
     note: str
 
@@ -349,7 +348,6 @@ def sufficient_two_test(
         if _pair_is_finite(*pair_sign_data(net, i, j)):
             return SufficientCertificate(
                 pair=(i + 1, j + 1),
-                necessary_pair_passes=necessary.passes,
                 satisfied=necessary.passes,
                 note="pair capacity is positive and finite; with the pair "
                 "test this yields two positive steady states for tuned rates",

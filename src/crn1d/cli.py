@@ -78,14 +78,17 @@ def _untag(value):
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"witness file: bad rational string {value!r}") from exc
     if isinstance(value, dict):
         if "rational" in value:
             return _untag(value["rational"])
-        if "float64" in value:
-            raw = value["float64"]
-            return float(raw) if isinstance(raw, str) else float(raw)
+        raw = value.get("float64")
+        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+            try:
+                return float(raw)
+            except (ValueError, OverflowError) as exc:
+                raise UsageError(f"witness file: bad float64 value {raw!r}") from exc
     raise UsageError(f"witness file: unrecognized number {value!r}")
 
 
@@ -165,16 +168,14 @@ def _tests_section(report: Report) -> dict:
     }
 
 
+def _capacity_fields(cap) -> dict:
+    return {"tag": cap.tag, "rule": cap.rule, "detail": cap.detail, "inequalities": list(cap.inequalities)}
+
+
 def _classification_section(report: Report) -> dict:
-    cap = report.capacity
-    out = {
-        "tag": cap.tag,
-        "rule": cap.rule,
-        "detail": cap.detail,
-        "inequalities": list(cap.inequalities),
-        "profile": None,
-        "two_reaction": None,
-    }
+    out = _capacity_fields(report.capacity)
+    out["profile"] = None
+    out["two_reaction"] = None
     if report.profile is not None:
         p = report.profile
         out["profile"] = {
@@ -208,13 +209,7 @@ def _reduction_section(report: Report) -> dict | None:
         "classification": None,
     }
     if report.reduced is not None:
-        cap = report.reduced.capacity
-        out["classification"] = {
-            "tag": cap.tag,
-            "rule": cap.rule,
-            "detail": cap.detail,
-            "inequalities": list(cap.inequalities),
-        }
+        out["classification"] = _capacity_fields(report.reduced.capacity)
     return out
 
 
@@ -404,17 +399,14 @@ def _emit(args, doc: dict, pretty_lines) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(args) -> int:
-    report = classify(_read_network(args.path))
-    doc = _analyze_doc(report, "analyze")
-    _emit(args, doc, _pretty_analyze(doc))
-    return 0
+_REPORTS = {"analyze": (_analyze_doc, _pretty_analyze), "classify": (_classify_doc, _pretty_classify)}
 
 
-def cmd_classify(args) -> int:
-    report = classify(_read_network(args.path))
-    doc = _classify_doc(report, "classify")
-    _emit(args, doc, _pretty_classify(doc))
+def cmd_report(args) -> int:
+    """``analyze`` and ``classify``: one classification, rendered per command."""
+    build, pretty = _REPORTS[args.command]
+    doc = build(classify(_read_network(args.path)), args.command)
+    _emit(args, doc, pretty(doc))
     return 0
 
 
@@ -461,7 +453,7 @@ def _load_witness(path: str) -> Witness:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"witness file: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("witness file: expected a JSON object")
@@ -486,7 +478,7 @@ def cmd_verify(args) -> int:
     witness = _load_witness(args.witness)
     try:
         verification = verify_witness(net, witness, args.tol)
-    except (ValueError, NumericOverflow) as exc:
+    except (ValueError, OverflowError, NumericOverflow) as exc:
         raise UsageError(f"witness file: {exc}") from exc
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -505,27 +497,10 @@ def cmd_verify(args) -> int:
 def _primitive_directions(species: int, bound: int) -> list[tuple[int, ...]]:
     """Primitive integer directions with entries in [-bound, bound], first
     nonzero entry positive, in lexicographic order."""
-    out = []
-    for vec in product(range(-bound, bound + 1), repeat=species):
-        if all(v == 0 for v in vec):
-            continue
-        first = next(v for v in vec if v != 0)
-        if first < 0:
-            continue
-        g = 0
-        for v in vec:
-            g = math.gcd(g, abs(v))
-        if g != 1:
-            continue
-        out.append(vec)
-    return out
-
-
-def _multiplier_values(cmax: int) -> list[int]:
-    out = []
-    for c in range(1, cmax + 1):
-        out.extend((c, -c))
-    return out
+    return [
+        vec for vec in product(range(-bound, bound + 1), repeat=species)
+        if math.gcd(*vec) == 1 and next(v for v in vec if v != 0) > 0
+    ]
 
 
 def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
@@ -552,7 +527,8 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
 def _cells(max_coeff: int, directions):
     """``(e, c1, c2)`` for each base direction and pair of multipliers."""
     for e in directions:
-        multipliers = _multiplier_values(max_coeff // max(abs(v) for v in e))
+        cmax = max_coeff // max(abs(v) for v in e)
+        multipliers = [m for c in range(1, cmax + 1) for m in (c, -c)]
         for c1 in multipliers:
             for c2 in multipliers:
                 yield e, c1, c2
@@ -646,12 +622,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="structure, essential sets, diagrams")
     analyze.add_argument("path", nargs="?", default="-", help=".crn file ('-' for stdin)")
     _add_io_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func=cmd_report)
 
     cls = commands.add_parser("classify", help="analyze plus tests and capacity class")
     cls.add_argument("path", nargs="?", default="-", help=".crn file ('-' for stdin)")
     _add_io_flags(cls)
-    cls.set_defaults(func=cmd_classify)
+    cls.set_defaults(func=cmd_report)
 
     wit = commands.add_parser("witness", help="construct and verify a steady-state witness")
     wit.add_argument("path", nargs="?", default="-", help=".crn file ('-' for stdin)")

@@ -271,12 +271,6 @@ def format_network(net: ReactionNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stoichiometric_matrix(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
-    """Species-by-reaction matrix of net changes (product minus reactant)."""
-    cols = [rx.change for rx in net.reactions]
-    return tuple(tuple(col[k] for col in cols) for k in range(net.num_species))
-
-
 def pair_sign_data(net: ReactionNetwork, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(alphas, gammas) of the two-reaction subnetwork (i, j), user order.
 

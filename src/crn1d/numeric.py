@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -133,14 +133,6 @@ class GProblem:
             if p is not None:
                 groups[p] = groups.get(p, 0) + a
         return tuple(sorted(groups.items()))
-
-
-@lru_cache(maxsize=512)
-def _float_data(gp: GProblem):
-    a = np.array(gp.alphas, dtype=float)
-    g = np.array(gp.gammas, dtype=float)
-    d = np.array([float(v) for v in gp.offsets], dtype=float)
-    return a, g, d
 
 
 def is_constant(gp: GProblem) -> bool:
@@ -486,26 +478,25 @@ def _interior_start(gp: GProblem) -> float:
 # this code must not share root-finding logic with find_roots.
 
 
-def _oracle_tail(gp: GProblem, K: float, side: str) -> float:
-    """How far toward an infinite end the grid must reach to settle g vs K."""
-    a, g, d = _float_data(gp)
-    if side == "upper":
-        coeff = float(np.sum(a[g > 0]))
-        with np.errstate(divide="ignore"):
-            const = float(np.sum(a[g > 0] * np.log(np.abs(g[g > 0])))) + float(
-                np.sum(a[(g == 0) & (a != 0)] * np.log(d[(g == 0) & (a != 0)]))
-            )
-        anchor = abs(gp.lower) if math.isfinite(gp.lower) else 1.0
-    else:
-        coeff = float(np.sum(a[g < 0]))
-        const = float(np.sum(a[g < 0] * np.log(np.abs(g[g < 0])))) + float(
-            np.sum(a[(g == 0) & (a != 0)] * np.log(d[(g == 0) & (a != 0)]))
-        )
-        anchor = abs(gp.upper) if math.isfinite(gp.upper) else 1.0
+def _oracle_arrays(gp: GProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alphas, gammas and float offsets as arrays, built once per oracle call."""
+    offsets = [float(v) for v in gp.offsets]
+    return np.array(gp.alphas, dtype=float), np.array(gp.gammas, dtype=float), np.array(offsets, dtype=float)
+
+
+def _oracle_tail(arrays, K: float, end: float, up: bool) -> float:
+    """How far from the finite end ``end`` the grid must reach toward the
+    infinite one (above it when ``up``) to settle g vs K."""
+    a, g, d = arrays
+    side = g > 0 if up else g < 0
+    fixed = (g == 0) & (a != 0)
+    coeff = float(np.sum(a[side]))
+    with np.errstate(divide="ignore"):
+        const = float(np.sum(a[side] * np.log(np.abs(g[side])))) + float(np.sum(a[fixed] * np.log(d[fixed])))
     if coeff == 0.0:
-        return (anchor + 1.0) * 1e12
+        return (abs(end) + 1.0) * 1e12
     need = (abs(K) + abs(const) + 40.0) / abs(coeff)
-    return min(math.exp(min(need, 640.0)), 1e280) + 8.0 * (anchor + 1.0)
+    return min(math.exp(min(need, 640.0)), 1e280) + 8.0 * (abs(end) + 1.0)
 
 
 def _log_offsets(end: float, reach: float, n: int) -> np.ndarray:
@@ -515,7 +506,7 @@ def _log_offsets(end: float, reach: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(eps0), math.log(reach), n))
 
 
-def _oracle_grid(gp: GProblem, K: float, n: int) -> np.ndarray:
+def _oracle_grid(gp: GProblem, arrays, K: float, n: int) -> np.ndarray:
     lo, hi = gp.lower, gp.upper
     geo = 2.0 ** -np.arange(3, 121)
     if math.isfinite(lo) and math.isfinite(hi):
@@ -523,20 +514,18 @@ def _oracle_grid(gp: GProblem, K: float, n: int) -> np.ndarray:
         core = lo + w * np.linspace(1.0 / (n + 1), 1.0, n, endpoint=False)
         z = np.concatenate([core, lo + w * geo, hi - w * geo])
     elif math.isfinite(lo):
-        reach = _oracle_tail(gp, K, "upper")
-        z = lo + _log_offsets(lo, reach, n)
+        z = lo + _log_offsets(lo, _oracle_tail(arrays, K, lo, True), n)
     elif math.isfinite(hi):
-        reach = _oracle_tail(gp, K, "lower")
-        z = hi - _log_offsets(hi, reach, n)
+        z = hi - _log_offsets(hi, _oracle_tail(arrays, K, hi, False), n)
     else:
         raise ConstantG("g has no poles; it is constant on the whole line")
     z = np.unique(z)
     return z[(z > lo) & (z < hi)]
 
 
-def _oracle_g(gp: GProblem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_g(arrays, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(valid z, g values) on the given grid, computed with numpy only."""
-    a, g, d = _float_data(gp)
+    a, g, d = arrays
     args = g[:, None] * z[None, :] + d[:, None]
     ok = (args > 0.0).all(axis=0)
     z = z[ok]
@@ -556,7 +545,8 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
     K = float(K)
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")
-    z, vals = _oracle_g(gp, _oracle_grid(gp, K, samples))
+    arrays = _oracle_arrays(gp)
+    z, vals = _oracle_g(arrays, _oracle_grid(gp, arrays, K, samples))
     f = vals - K
     roots: list[float] = []
     idx = np.nonzero(f == 0.0)[0]
@@ -569,7 +559,7 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            zz, vv = _oracle_g(gp, np.array([mid]))
+            _zz, vv = _oracle_g(arrays, np.array([mid]))
             if len(vv) == 0:
                 break
             fm = float(vv[0]) - K
@@ -599,8 +589,9 @@ def oracle_counts(gp: GProblem, Ks: Sequence[float], samples: int = 4001) -> lis
     """
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")
-    zs = _oracle_grid(gp, float(max((abs(float(k)) for k in Ks), default=1.0)), samples)
-    _z, vals = _oracle_g(gp, zs)
+    arrays = _oracle_arrays(gp)
+    zs = _oracle_grid(gp, arrays, float(max((abs(float(k)) for k in Ks), default=1.0)), samples)
+    _z, vals = _oracle_g(arrays, zs)
     out = []
     for K in Ks:
         f = vals - float(K)

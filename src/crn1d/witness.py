@@ -17,13 +17,17 @@ whose rate-balance ratios can be equalized by moving the rates between two
 concentrated limits, then rescales, and finally polishes two rates exactly
 by solving a rational 2x2 system.
 
-Every returned witness has been replayed through the verifier at 1e-9.
+Both ``witness_three`` and the pair lift solve on the line of one opposed
+pair through the same step, ``_pair_line``.  Every returned witness has
+been replayed through the verifier at 1e-9; where ``nondegenerate`` is
+set, its flags are the verifier's (the endpoint construction leaves it
+``None``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arrows import AdReport, ad_count
@@ -170,8 +174,8 @@ def _exact_g1_at_zero(profile: BiReactionProfile, weights: dict[int, Fraction]) 
         total += sigma * abs(profile.alphas[k]) * w
     return total
 
-def _exact_g2_at_zero(profile: BiReactionProfile, weights: dict[int, Fraction]) -> Fraction:
-    return -sum(profile.alphas[k] * w * w for k, w in weights.items())
+def _exact_g2_at_zero(alphas, weights: dict[int, Fraction]) -> Fraction:
+    return -sum(alphas[k] * w * w for k, w in weights.items())
 
 
 def _weights_to_offsets(gammas, weights: dict[int, Fraction]):
@@ -184,6 +188,21 @@ def _weights_to_offsets(gammas, weights: dict[int, Fraction]):
         else:
             d.append(Fraction(1))
     return tuple(d)
+
+
+def _curved_offsets(profile: BiReactionProfile, target: int, recipe: str, weights_at):
+    """Offsets from the first ``weights_at(eps)``, eps = 1/16, 1/32, ... (41
+    tries), whose weights are positive and make g'(0) vanish exactly with
+    g''(0) of the sign of ``target``."""
+    eps = Fraction(1, 16)
+    for _ in range(41):
+        weights = weights_at(eps)
+        if all(w > 0 for w in weights.values()) and _exact_g1_at_zero(profile, weights) == 0:
+            g2 = _exact_g2_at_zero(profile.alphas, weights)
+            if (g2 > 0) == (target > 0) and g2 != 0:
+                return _weights_to_offsets(profile.gammas, weights)
+        eps /= 2
+    raise RecipeFailed(f"{recipe} recipe: no epsilon met the curvature condition")
 
 
 def choose_d_three(profile: BiReactionProfile):
@@ -211,41 +230,38 @@ def choose_d_three(profile: BiReactionProfile):
         pivot = min(s4e, key=lambda k: (absa[k], k))
         rest4 = [k for k in s4e if k != pivot]
         sum1 = sum(absa[k] for k in s1e)
-        target = 1 if not na else -1
-        eps = Fraction(1, 16)
-        for _ in range(41):
-            y = (sum1 * one - sum(absa[k] for k in rest4) * eps) / absa[pivot]
-            if y > 0:
-                weights = {k: one for k in s1e}
-                weights[pivot] = y
-                weights.update({k: eps for k in rest4})
-                if _exact_g1_at_zero(profile, weights) == 0:
-                    g2 = _exact_g2_at_zero(profile, weights)
-                    if (g2 > 0) == (target > 0) and g2 != 0:
-                        return _weights_to_offsets(profile.gammas, weights)
-            eps /= 2
-        raise RecipeFailed("pair recipe: no epsilon met the curvature condition")
+
+        def pair_weights(eps):
+            weights = {k: one for k in s1e}
+            weights[pivot] = (sum1 * one - sum(absa[k] for k in rest4) * eps) / absa[pivot]
+            weights.update({k: eps for k in rest4})
+            return weights
+
+        return _curved_offsets(profile, 1 if not na else -1, "pair", pair_weights)
     s1e, s2e, s3e, s4e = eff[1], eff[2], eff[3], eff[4]
     pivot = min(s1e, key=lambda k: (absa[k], k))
     spread = [k for k in s1e + s2e if k != pivot]
-    target = -1 if not na else 1
-    eps1 = Fraction(1, 16)
-    for _ in range(41):
+    den4 = sum(absa[k] for k in s4e)
+
+    def spread_weights(eps1):
         eps2 = eps1 / 2
-        den4 = sum(absa[k] for k in s4e)
         y = (absa[pivot] * one + sum(absa[k] for k in spread) * eps1
              - sum(absa[k] for k in s3e) * eps2) / den4
-        if y > 0:
-            weights = {pivot: one}
-            weights.update({k: eps1 for k in spread})
-            weights.update({k: eps2 for k in s3e})
-            weights.update({k: y for k in s4e})
-            if _exact_g1_at_zero(profile, weights) == 0:
-                g2 = _exact_g2_at_zero(profile, weights)
-                if (g2 > 0) == (target > 0) and g2 != 0:
-                    return _weights_to_offsets(profile.gammas, weights)
-        eps1 /= 2
-    raise RecipeFailed("spread recipe: no epsilon met the curvature condition")
+        weights = {pivot: one}
+        weights.update({k: eps1 for k in spread})
+        weights.update({k: eps2 for k in s3e})
+        weights.update({k: y for k in s4e})
+        return weights
+
+    return _curved_offsets(profile, -1 if not na else 1, "spread", spread_weights)
+
+
+def _level_ladder(g0: float, side: float):
+    """Levels ``(1 + |g0|) * 2^-k`` away from ``g0``, k = 1..60, above it
+    when ``side > 0`` and below it otherwise."""
+    for k in range(1, 61):
+        delta = (1.0 + abs(g0)) * 2.0**-k
+        yield g0 + delta if side > 0 else g0 - delta
 
 
 def choose_K_three(gp: GProblem) -> float:
@@ -263,7 +279,9 @@ def choose_K_three(gp: GProblem) -> float:
     scale2 = sum(abs(a) * g * g / d**2 for a, g, d in gp.terms if g != 0)
     if abs(g2_0) <= 1e-12 * (1.0 + scale2):
         raise RecipeFailed("flat curvature at the origin")
-    crits = [c for c in critical_points(gp) if abs(c) > 1e-8]
+    crits = list(critical_points(gp))
+    if crits:
+        crits.remove(min(crits, key=abs))  # the origin's own critical point
     below = max((c for c in crits if c < 0), default=None)
     above = min((c for c in crits if c > 0), default=None)
     candidates = [c for c in (above, below) if c is not None]
@@ -273,9 +291,7 @@ def choose_K_three(gp: GProblem) -> float:
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
             return K
-    for k in range(1, 61):
-        delta = (1.0 + abs(g0)) * 2.0**-k
-        K = g0 - delta if g2_0 < 0 else g0 + delta
+    for K in _level_ladder(g0, g2_0):
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
             return K
@@ -287,7 +303,8 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
 
     Sets the base rate to 1 and solves the level equation for the second
     rate; converts each root to a state and records exact conservation
-    constants from the offsets.
+    constants from the offsets.  ``nondegenerate`` is left ``None``: it is
+    the verifier's to decide.
     """
     if net.num_reactions != 2:
         raise NotBiReaction("witness assembly from a level needs two reactions")
@@ -299,16 +316,12 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
     K = float(K)
     zs = sorted(float(z) for z in roots)
     states = []
-    flags = []
     for z in zs:
         if not (gp.lower < z < gp.upper):
             raise RootOutsideInterval(f"root {z} outside ({gp.lower}, {gp.upper})")
         x = tuple(g * z + dk for _a, g, dk in gp.terms)
         if any(v <= 0 for v in x):
             raise RootOutsideInterval(f"state at z = {z} is not strictly positive")
-        _g, g1, _g2 = eval_g(gp, z)
-        scale = sum(abs(a * g) / xv for a, g, xv in zip(alphas, gammas, x) if g != 0) + 1e-300
-        flags.append(abs(g1) > 1e-8 * scale)
         states.append(x)
     return Witness(
         kappa=(1.0, _level_rate(K, 1.0, float(-lam2))),
@@ -317,7 +330,6 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
         z_roots=tuple(zs),
         level=K,
         offsets=tuple(gp.offsets),
-        nondegenerate=tuple(flags),
     )
 
 
@@ -332,22 +344,33 @@ def _level_rate(K: float, num: float, den: float) -> float:
     return rate
 
 
-def _widened_offsets(d, gammas, passive, roots):
-    """Push the poles of weightless moving species far past the used roots."""
-    zmax = max(abs(float(r)) for r in roots)
-    w = 2 * (1 + math.ceil(zmax))
-    out = list(d)
+def _pair_line(alphas, gammas, d0, pick):
+    """``(offsets, K, RootSet)`` of ``g = K`` on an opposed pair's line.
+
+    Moving species with zero alpha do not change g: they are masked as
+    fixed for ``pick(probe)``, which chooses ``(K, roots)``, then their
+    offsets are widened until their poles clear ``roots`` and ``g = K`` is
+    solved once more on the full line.
+    """
+    passive = [k for k, (a, g) in enumerate(zip(alphas, gammas)) if a == 0 and g != 0]
+    probe = GProblem(
+        alphas,
+        tuple(0 if k in passive else g for k, g in enumerate(gammas)),
+        tuple(Fraction(1) if k in passive else d for k, d in enumerate(d0)),
+    )
+    K, roots = pick(probe)
+    w = 2 * (1 + math.ceil(max(abs(float(r)) for r in roots)))
+    d = list(d0)
     for k in passive:
-        out[k] = Fraction(abs(gammas[k]) * w)
-    return tuple(out)
+        d[k] = Fraction(abs(gammas[k]) * w)
+    return tuple(d), K, find_roots(GProblem(alphas, gammas, tuple(d)), K)
 
 
 def witness_three(net: ReactionNetwork) -> Witness:
     """Three verified positive steady states for a qualifying bi-reaction network.
 
-    Species that carry no weight in the scalar reduction but still move are
-    first masked out (they do not change g), and their offsets are widened
-    after the roots are known so every pole clears the root span.
+    The level comes from :func:`choose_K_three` on the line of the pair
+    with its weightless moving species masked (see :func:`_pair_line`).
     """
     struct = one_dim_structure(net)
     if net.num_reactions != 2:
@@ -356,18 +379,12 @@ def witness_three(net: ReactionNetwork) -> Witness:
     cap = capacity_class_bi(profile, profile.lambda2)
     if cap.tag != CAP_AT_LEAST_THREE:
         raise GoalUnattainable(f"capacity class is {cap.tag}; three states are not available")
-    d0 = choose_d_three(profile)
-    passive = [k for k in range(net.num_species)
-               if profile.alphas[k] == 0 and profile.gammas[k] != 0]
-    probe_gammas = tuple(0 if k in passive else g for k, g in enumerate(profile.gammas))
-    probe_d = tuple(Fraction(1) if k in passive else d0[k] for k in range(len(d0)))
-    probe = GProblem(profile.alphas, probe_gammas, probe_d)
-    K = choose_K_three(probe)
-    probe_roots = find_roots(probe, K).roots
-    if len(probe_roots) < 3:
-        raise RecipeFailed("confirmed level lost its crossings")
-    d_final = _widened_offsets(d0, profile.gammas, passive, probe_roots)
-    rs = find_roots(GProblem(profile.alphas, profile.gammas, d_final), K)
+
+    def pick(probe):
+        K = choose_K_three(probe)
+        return K, find_roots(probe, K).roots
+
+    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, choose_d_three(profile), pick)
     if len(rs.roots) < 3:
         raise RecipeFailed("crossings lost after widening passive offsets")
     witness = assemble_witness(net, struct, d_final, K, rs.roots)
@@ -375,7 +392,7 @@ def witness_three(net: ReactionNetwork) -> Witness:
     if not report.passed:
         worst = max(c.rate_residual for c in report.states)
         raise RecipeFailed(f"witness failed verification (worst residual {worst})")
-    return witness
+    return replace(witness, nondegenerate=tuple(c.nondegenerate for c in report.states))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +409,7 @@ def _balanced_pair_weights(alphas, gammas):
     weights = {k: up for k in pos}
     weights.update({k: un for k in neg})
     for n in range(20):
-        g2 = -sum(alphas[k] * w * w for k, w in weights.items())
+        g2 = _exact_g2_at_zero(alphas, weights)
         if g2 != 0:
             return weights, (1 if g2 > 0 else -1)
         bump = 1 + Fraction(1, 2 ** (3 + n))
@@ -414,6 +431,13 @@ def _balance(net: ReactionNetwork, lam, kappa, gammas, x) -> tuple[float, float]
     return math.fsum(terms), math.fsum(slopes)
 
 
+def _straddle(roots):
+    """The roots nearest the origin on each side, or ``None`` if a side is empty."""
+    lows = [r for r in roots if r < 0]
+    highs = [r for r in roots if r > 0]
+    return (max(lows), min(highs)) if lows and highs else None
+
+
 def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) -> Witness | None:
     """Two states from one nondegenerate opposed pair, then full embedding."""
     alphas, pair_gammas = pair_sign_data(net, i, j)
@@ -422,43 +446,25 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
     weights, g2_sign = _balanced_pair_weights(alphas, pair_gammas)
     if weights is None:
         return None
-    s = net.num_species
-    passive = [k for k in range(s) if alphas[k] == 0 and pair_gammas[k] != 0]
-    d0 = _weights_to_offsets(pair_gammas, weights)
-    probe_gammas = tuple(0 if k in passive else g for k, g in enumerate(pair_gammas))
-    probe_d = tuple(Fraction(1) if k in passive else d0[k] for k in range(s))
+
+    def pick(probe):
+        for K in _level_ladder(eval_g(probe, 0.0)[0], g2_sign):
+            try:
+                pair = _straddle(find_roots(probe, K).roots)
+            except CrnError:
+                continue
+            if pair is not None:
+                return K, pair
+        raise NoSecondCriticalPoint("no level has crossings on both sides of the origin")
+
     try:
-        probe = GProblem(alphas, probe_gammas, probe_d)
-        g0 = eval_g(probe, 0.0)[0]
+        d_final, K, rs = _pair_line(alphas, pair_gammas, _weights_to_offsets(pair_gammas, weights), pick)
     except CrnError:
         return None
-    r_lo = r_hi = None
-    K = None
-    for kk in range(1, 61):
-        delta = (1.0 + abs(g0)) * 2.0**-kk
-        K = g0 + delta if g2_sign > 0 else g0 - delta
-        try:
-            roots = find_roots(probe, K).roots
-        except CrnError:
-            continue
-        lows = [r for r in roots if r < 0]
-        highs = [r for r in roots if r > 0]
-        if lows and highs:
-            r_lo, r_hi = max(lows), min(highs)
-            break
-    if r_lo is None:
+    pair = _straddle(rs.roots)
+    if pair is None:
         return None
-    d_final = _widened_offsets(d0, pair_gammas, passive, (r_lo, r_hi))
-    try:
-        pair_gp = GProblem(alphas, pair_gammas, d_final)
-        rs = find_roots(pair_gp, K)
-    except CrnError:
-        return None
-    lows = [r for r in rs.roots if r < 0]
-    highs = [r for r in rs.roots if r > 0]
-    if not lows or not highs:
-        return None
-    r_lo, r_hi = max(lows), min(highs)
+    r_lo, r_hi = pair
 
     lam = [float(v) for v in struct.lambda_user()]
     gammas = struct.gamma_user()
@@ -495,28 +501,17 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
             z = _bracketed_root(balance, zr - h, zr + h)
             polished.append(z)
         if ok and abs(polished[1] - polished[0]) > 1e-9 * (1 + abs(polished[1])):
-            states = tuple(tuple(g * z + dv for g, dv in zip(gammas, d_float)) for z in polished)
-            flags = []
-            for x in states:
-                slope = _balance(net, lam, kappa, gammas, x)[1]
-                scale = sum(
-                    abs(lam[jj] * kappa[jj])
-                    * mono
-                    * sum(rx.reactant[k] * abs(gammas[k]) / x[k] for k in range(s))
-                    for jj, (rx, mono) in enumerate(zip(net.reactions, monomials(net, x)))
-                ) + 1e-300
-                flags.append(abs(slope) > 1e-8 * scale)
             witness = Witness(
                 kappa=tuple(kappa),
                 c=conservation_constants(struct, d_final),
-                states=states,
+                states=tuple(tuple(g * z + dv for g, dv in zip(gammas, d_float)) for z in polished),
                 z_roots=tuple(polished),
                 level=None,
                 offsets=tuple(d_final),
-                nondegenerate=tuple(flags),
             )
-            if verify_witness(net, witness, 1e-9).passed:
-                return witness
+            report = verify_witness(net, witness, 1e-9)
+            if report.passed:
+                return replace(witness, nondegenerate=tuple(c.nondegenerate for c in report.states))
         eps /= 4.0
     return None
 
@@ -714,7 +709,7 @@ def witness_two_general(net: ReactionNetwork) -> Witness:
     cert = sufficient_two_test(net, struct, ad)
     if cert is None:
         raise GoalUnattainable("no opposed pair with finite capacity")
-    if not cert.necessary_pair_passes:
+    if not cert.satisfied:
         raise GoalUnattainable("pair-diagram test fails; two nondegenerate states "
                                "are excluded while the capacity is finite")
     for i, j in struct.opposed_pairs():

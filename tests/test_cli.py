@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: documents, exit codes, files, enumeration."""
 
+import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crn1d import canonical_key, classify, enumerate_bi_networks, main, parse_network
 
@@ -204,11 +207,13 @@ class TestVerifyCommand:
             json.dumps({"kappa": [1, 1], "c": [0], "states": [[True, 1]]}),
             json.dumps({"kappa": [1], "c": [0], "states": [[1, 1]]}),
             json.dumps({"kappa": [0, 1], "c": [0], "states": [[1, 1]]}),
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            pytest.param(b"\xff\xfe not utf-8", id="not-utf8"),
         ],
     )
     def test_bad_witness_files_exit_two(self, capsys, tmp_path, blob):
         path = tmp_path / "w.json"
-        path.write_text(blob)
+        path.write_bytes(blob if isinstance(blob, bytes) else blob.encode())
         code, _, err = run(capsys, "verify", crn("ga"), "--witness", str(path))
         assert code == 2
         assert "error:" in err
@@ -217,6 +222,56 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", crn("ga"), "--witness", "/nonexistent.json")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "number",
+        [{"float64": [1]}, {"float64": {}}, {"float64": "abc"}, {"float64": True}, "1/0", {"rational": "1/0"}, 10**400],
+        ids=["float64-list", "float64-dict", "float64-text", "float64-bool", "zero-denominator",
+             "tagged-zero-denominator", "huge-int"],
+    )
+    def test_malformed_number_exits_two(self, capsys, tmp_path, number):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kappa": [number, 1], "c": [0], "states": [[1, 1]]}))
+        code, out, err = run(capsys, "verify", crn("ga"), "--witness", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: witness file:") and err.count("\n") == 1
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from(["1/3", "2", "-1", "1/0", "abc", "nan", "-inf", "1e400", ""]),
+    st.text(max_size=6),
+)
+_ENTRIES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["rational", "float64", "other"]), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+def _field(size):
+    return st.one_of(st.lists(_ENTRIES, min_size=size, max_size=size), st.lists(_ENTRIES, max_size=3), _ENTRIES)
+
+
+@settings(max_examples=50)
+@given(kappa=_field(2), c=_field(1), states=st.lists(_field(2), max_size=2) | _ENTRIES)
+def test_verify_exit_code_contract(kappa, c, states):
+    """Whatever a witness file holds, verify ends in a documented code with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kappa": kappa, "c": c, "states": states}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", crn("ga"), "--witness", path])
+    assert code in (0, 1, 2)
 
 
 class TestExitCodes:
