@@ -29,7 +29,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from multiprocessing import Pool
 
 from .classify import NotBiReaction, Report, canonical_key, classify
 from .network import (
@@ -576,6 +575,8 @@ def cmd_enumerate(args) -> int:
                 raise UsageError(str(exc)) from exc
         batches = map(_cell_records, cells)
         if workers > 1:
+            from multiprocessing import Pool  # imported here so other commands do not load it
+
             batches = stack.enter_context(Pool(workers)).imap(_cell_records, cells, chunksize=8)
         for batch in batches:
             for tag, line in batch:

@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .network import CrnError, ReactionNetwork, conservation_constants, one_dim_structure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyInterval(CrnError):
@@ -475,11 +476,15 @@ def _interior_start(gp: GProblem) -> float:
 
 # ---------------------------------------------------------------------------
 # Independent oracle.  Separate compactification, separate evaluation path:
-# this code must not share root-finding logic with find_roots.
+# this code must not share root-finding logic with find_roots.  numpy is
+# imported inside each function: nothing else in the package uses it, and
+# loading it would double the start-up of every CLI command.
 
 
 def _oracle_arrays(gp: GProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alphas, gammas and float offsets as arrays, built once per oracle call."""
+    import numpy as np
+
     offsets = [float(v) for v in gp.offsets]
     return np.array(gp.alphas, dtype=float), np.array(gp.gammas, dtype=float), np.array(offsets, dtype=float)
 
@@ -487,6 +492,8 @@ def _oracle_arrays(gp: GProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _oracle_tail(arrays, K: float, end: float, up: bool) -> float:
     """How far from the finite end ``end`` the grid must reach toward the
     infinite one (above it when ``up``) to settle g vs K."""
+    import numpy as np
+
     a, g, d = arrays
     side = g > 0 if up else g < 0
     fixed = (g == 0) & (a != 0)
@@ -502,11 +509,15 @@ def _oracle_tail(arrays, K: float, end: float, up: bool) -> float:
 def _log_offsets(end: float, reach: float, n: int) -> np.ndarray:
     """Log-uniform distances from a finite endpoint, from below float
     granularity at that endpoint out to ``reach``."""
+    import numpy as np
+
     eps0 = max((1.0 + abs(end)) * 1e-20, abs(end) * 4e-16)
     return np.exp(np.linspace(math.log(eps0), math.log(reach), n))
 
 
 def _oracle_grid(gp: GProblem, arrays, K: float, n: int) -> np.ndarray:
+    import numpy as np
+
     lo, hi = gp.lower, gp.upper
     geo = 2.0 ** -np.arange(3, 121)
     if math.isfinite(lo) and math.isfinite(hi):
@@ -525,6 +536,8 @@ def _oracle_grid(gp: GProblem, arrays, K: float, n: int) -> np.ndarray:
 
 def _oracle_g(arrays, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(valid z, g values) on the given grid, computed with numpy only."""
+    import numpy as np
+
     a, g, d = arrays
     args = g[:, None] * z[None, :] + d[:, None]
     ok = (args > 0.0).all(axis=0)
@@ -542,6 +555,8 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
     cross-checking the root finder.  Close crossings are deduplicated after
     a local bisection refinement.
     """
+    import numpy as np
+
     K = float(K)
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")
@@ -587,6 +602,8 @@ def oracle_counts(gp: GProblem, Ks: Sequence[float], samples: int = 4001) -> lis
     No refinement or deduplication: answers can overcount very close roots,
     so callers re-check interesting hits with :func:`oracle_count`.
     """
+    import numpy as np
+
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")
     arrays = _oracle_arrays(gp)
@@ -650,7 +667,9 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
     strict positivity, the relative residual of the rate balance
     ``sum_j lambda_j kappa_j x^(alpha_j)``, the conservation relations pinned
     by ``c``, and flags numeric nondegeneracy (the directional derivative of
-    the balance along gamma, relatively bounded away from zero).
+    the balance along gamma, relatively bounded away from zero).  Raises
+    ``ValueError`` for a non-finite number or a rate constant that is not
+    positive: such a witness is malformed rather than failed.
     """
     struct = one_dim_structure(net)
     s = net.num_species
@@ -661,6 +680,8 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         raise DimensionMismatch(f"expected {m} rate constants, got {len(kappa)}")
     if len(cs) != s - 1:
         raise DimensionMismatch(f"expected {s - 1} conservation constants, got {len(cs)}")
+    if not all(math.isfinite(v) for v in (*kappa, *cs)):
+        raise ValueError("rate and conservation constants must be finite")
     if any(k <= 0 for k in kappa):
         raise ValueError("rate constants must be positive")
     lam = [float(v) for v in struct.lambda_user()]
@@ -672,6 +693,8 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         x = [float(v) for v in raw]
         if len(x) != s:
             raise DimensionMismatch(f"state has {len(x)} coordinates, expected {s}")
+        if not all(math.isfinite(v) for v in x):
+            raise ValueError("state coordinates must be finite")
         positive = all(v > 0.0 for v in x)
         if not positive:
             checks.append(StateCheck(tuple(x), False, math.inf, math.inf, False, False))

@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crn1d
 from crn1d import canonical_key, classify, enumerate_bi_networks, main, parse_network
 
 from conftest import DATA
@@ -224,14 +228,19 @@ class TestVerifyCommand:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "number",
-        [{"float64": [1]}, {"float64": {}}, {"float64": "abc"}, {"float64": True}, "1/0", {"rational": "1/0"}, 10**400],
+        "field, number",
+        [("kappa", {"float64": [1]}), ("kappa", {"float64": {}}), ("kappa", {"float64": "abc"}),
+         ("kappa", {"float64": True}), ("kappa", "1/0"), ("kappa", {"rational": "1/0"}), ("kappa", 10**400),
+         ("kappa", {"float64": "nan"}), ("kappa", {"float64": "inf"}), ("c", {"float64": "nan"}),
+         ("states", {"float64": "nan"})],
         ids=["float64-list", "float64-dict", "float64-text", "float64-bool", "zero-denominator",
-             "tagged-zero-denominator", "huge-int"],
+             "tagged-zero-denominator", "huge-int", "kappa-nan", "kappa-inf", "c-nan", "state-nan"],
     )
-    def test_malformed_number_exits_two(self, capsys, tmp_path, number):
+    def test_malformed_number_exits_two(self, capsys, tmp_path, field, number):
+        doc = {"kappa": [1, 1], "c": [0], "states": [[1, 1]]}
+        (doc["states"][0] if field == "states" else doc[field])[0] = number
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({"kappa": [number, 1], "c": [0], "states": [[1, 1]]}))
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", crn("ga"), "--witness", str(path))
         assert code == 2
         assert out == ""
@@ -432,7 +441,7 @@ class TestEnumerate:
         pooled = tmp_path / "pooled.jsonl"
         run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
             "--out", str(serial))
-        monkeypatch.setattr("crn1d.cli.Pool", SerialPool)
+        monkeypatch.setattr("multiprocessing.Pool", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
             "--jobs", str(jobs), "--out", str(pooled))
@@ -461,3 +470,27 @@ class TestEnumerate:
         streamed = [brute_force_key(net.reactions) for net in enumerate_bi_networks(1, 2)]
         assert len(streamed) == len(set(streamed)) == 15
         assert set(streamed) == brute
+
+
+_STARTUP_PROBE = """
+import json, sys
+import crn1d.cli
+loaded = [name for name in ("numpy", "multiprocessing") if name in sys.modules]
+import crn1d, crn1d.numeric
+gp = crn1d.GProblem((1, 1), (1, -1), (0, 1))  # g = ln z + ln(1 - z), peak -2 ln 2 at z = 1/2
+print(json.dumps({
+    "loaded": loaded,
+    "same": crn1d.oracle_count is crn1d.numeric.oracle_count,
+    "module": crn1d.oracle_count.__module__,
+    "count": crn1d.oracle_count(gp, -2.0),
+}))
+"""
+
+
+def test_cli_import_leaves_out_numpy_and_multiprocessing():
+    src = str(Path(crn1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded": [], "same": True, "module": "crn1d.numeric", "count": 2}
