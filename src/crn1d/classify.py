@@ -86,7 +86,15 @@ def _class_of(alpha: int, gamma: int) -> str:
     return "S5"
 
 
-def _profile_from_sign_data(alphas, gammas, lambda2) -> BiReactionProfile:
+def sign_profile(alphas, gammas, lambda2) -> BiReactionProfile:
+    """Sign profile of a two-reaction network from its sign data.
+
+    ``alphas`` and ``gammas`` are as returned by
+    :func:`~crn1d.network.pair_sign_data`; ``lambda2`` is the second
+    reaction's change over the first's.  The profile depends on nothing
+    else, so a caller that already knows these (as ``enumerate`` does)
+    needs no :func:`~crn1d.network.one_dim_structure`.
+    """
     classes = tuple(_class_of(a, g) for a, g in zip(alphas, gammas))
     sets = tuple(
         frozenset(k + 1 for k, c in enumerate(classes) if c == f"S{i}") for i in range(1, 6)
@@ -113,7 +121,7 @@ def bi_profile(net: ReactionNetwork, struct: OneDimStructure) -> BiReactionProfi
     if net.num_reactions != 2:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
     alphas, gammas = pair_sign_data(net, 0, 1)
-    return _profile_from_sign_data(alphas, gammas, struct.lambda_user()[1])
+    return sign_profile(alphas, gammas, struct.lambda_user()[1])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .classify import NotBiReaction, Report, canonical_key, classify
+from .classify import NotBiReaction, Report, canonical_key, capacity_class_bi, classify, sign_profile
 from .network import (
     CrnError,
     NotOneDimensional,
@@ -546,17 +546,27 @@ def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
 
 
 def _cell_records(cell) -> list[tuple[str, str]]:
+    """``(tag, JSONL line)`` for each network of one cell.
+
+    The cell fixes the change vectors ``(c1*e, c2*e)``, so lambda2 is
+    ``c2/c1`` without elimination, and the capacity comes from the same
+    ladder :func:`classify` runs on the pair's sign profile.  The bi-arrow
+    count is the number of species in S1..S4 when the two reactions are
+    opposed (one pair, embedding on each such species) and 0 otherwise.
+    """
     species, bound, e, c1, c2 = cell
+    lambda2 = Fraction(c2, c1)
     out = []
     for net in _cell_networks(species, bound, e, c1, c2):
-        report = classify(net)
+        profile = sign_profile(*pair_sign_data(net, 0, 1), lambda2)
+        capacity = capacity_class_bi(profile, lambda2)
         record = {
             "network": format_network(net).splitlines(),
-            "tag": report.capacity.tag,
-            "rule": report.capacity.rule,
-            "ad": report.ad.total,
+            "tag": capacity.tag,
+            "rule": capacity.rule,
+            "ad": sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0,
         }
-        out.append((report.capacity.tag, json.dumps(record, sort_keys=True)))
+        out.append((capacity.tag, json.dumps(record, sort_keys=True)))
     return out
 
 

@@ -265,14 +265,14 @@ def _derivative_numerator(gp: GProblem) -> list[int]:
     return p
 
 
-def _bracketed_root(f, lo: float, hi: float) -> float:
-    """A zero of ``f(z)[0]`` on ``[lo, hi]``, where it changes sign.
+def _bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
+    """A zero of ``f`` on ``[lo, hi]``, where it changes sign.
 
-    Bisects (geometrically across orders of magnitude) to a relative width
-    of 1e-15, then takes Newton steps with the slope ``f(z)[1]`` while they
-    stay inside the bracket.
+    Bisects on ``f(z)`` (geometrically across orders of magnitude) to a
+    relative width of 1e-15, then takes Newton steps with
+    ``f_and_slope(z) == (f(z), f'(z))`` while they stay inside the bracket.
     """
-    flo = f(lo)[0]
+    flo = f(lo)
     for _ in range(300):
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             break
@@ -284,7 +284,7 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
             mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = f(mid)[0]
+        fm = f(mid)
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -293,7 +293,7 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
             hi = mid
     z = 0.5 * (lo + hi)
     for _ in range(10):
-        value, slope = f(z)[:2]
+        value, slope = f_and_slope(z)
         if slope == 0.0:
             break
         nz = z - value / slope
@@ -321,7 +321,7 @@ def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> fl
             except OutOfDomain:
                 ga = gb = 0.0
             if min(ga, gb) < 0.0 < max(ga, gb):
-                return _bracketed_root(lambda z: eval_g(gp, z)[1:], fa, fb)
+                return _bracketed_root(lambda z: eval_g(gp, z)[1], lambda z: eval_g(gp, z)[1:], fa, fb)
         mid = (a + b) / 2
         sign_mid = _sign_at(p, mid)
         if sign_mid == 0:
@@ -410,6 +410,9 @@ def find_roots(gp: GProblem, K) -> RootSet:
     K = float(K)
 
     def level(z):
+        return eval_g(gp, z)[0] - K
+
+    def level_and_slope(z):
         g, g1, _g2 = eval_g(gp, z)
         return g - K, g1
 
@@ -449,7 +452,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
             hi = _march_to_sign(gp, K, start, zr, want_positive=vr > K)
         if lo is None or hi is None or not (lo < hi):
             raise CrnError(f"failed to bracket the root of g = {K} in piece ({zl}, {zr})")
-        z = _bracketed_root(level, lo, hi)
+        z = _bracketed_root(level, level_and_slope, lo, hi)
         gz, slope, _ = eval_g(gp, z)
         res = abs(gz - K)
         # Steep pieces (root hugging a pole) cannot beat a few ulps of

@@ -422,9 +422,14 @@ def _balanced_pair_weights(alphas, gammas):
     return None, 0
 
 
+def _rate_terms(net: ReactionNetwork, lam, kappa, x) -> list[float]:
+    """The terms of the rate balance at ``x``, one per reaction."""
+    return [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
+
+
 def _balance(net: ReactionNetwork, lam, kappa, gammas, x) -> tuple[float, float]:
     """The rate balance at ``x`` and its derivative along ``gammas``."""
-    terms = [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
+    terms = _rate_terms(net, lam, kappa, x)
     slopes = [
         t * sum(e * gammas[k] / x[k] for k, e in enumerate(rx.reactant) if e) for t, rx in zip(terms, net.reactions)
     ]
@@ -482,8 +487,14 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
         kappa[i] = 1.0
         kappa[j] = kappa_j
 
+        def state(zz):
+            return [g * zz + dv for g, dv in zip(gammas, d_float)]
+
         def balance(zz):
-            return _balance(net, lam, kappa, gammas, [g * zz + dv for g, dv in zip(gammas, d_float)])
+            return math.fsum(_rate_terms(net, lam, kappa, state(zz)))
+
+        def balance_and_slope(zz):
+            return _balance(net, lam, kappa, gammas, state(zz))
 
         polished = []
         ok = True
@@ -494,17 +505,17 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
                 default=math.inf,
             )
             h = min(gap / 4.0, near / 2.0, (zr - lo_dom) / 2.0, (hi_dom - zr) / 2.0)
-            flo, fhi = balance(zr - h)[0], balance(zr + h)[0]
+            flo, fhi = balance(zr - h), balance(zr + h)
             if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
                 ok = False
                 break
-            z = _bracketed_root(balance, zr - h, zr + h)
+            z = _bracketed_root(balance, balance_and_slope, zr - h, zr + h)
             polished.append(z)
         if ok and abs(polished[1] - polished[0]) > 1e-9 * (1 + abs(polished[1])):
             witness = Witness(
                 kappa=tuple(kappa),
                 c=conservation_constants(struct, d_final),
-                states=tuple(tuple(g * z + dv for g, dv in zip(gammas, d_float)) for z in polished),
+                states=tuple(tuple(state(z)) for z in polished),
                 z_roots=tuple(polished),
                 level=None,
                 offsets=tuple(d_final),

@@ -376,6 +376,23 @@ class TestEnumerate:
             assert report.capacity.tag == record["tag"]
             assert report.ad.total == record["ad"]
 
+    @pytest.mark.parametrize("species,bound", [(1, 4), (2, 3), (3, 2)])
+    def test_records_match_classify(self, capsys, tmp_path, species, bound):
+        # records are built from each pair's sign data; classify derives the
+        # same fields from the full structure (ad from ad_count)
+        out_path = tmp_path / "nets.jsonl"
+        code, _, _ = run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
+                         "--out", str(out_path))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines
+        for line in lines:
+            record = json.loads(line)
+            report = classify(parse_network("\n".join(record["network"])))
+            assert (record["tag"], record["rule"], record["ad"]) == (
+                report.capacity.tag, report.capacity.rule, report.ad.total,
+            ), line
+
     def test_canonical_forms_are_unique(self, capsys, tmp_path):
         out_path = tmp_path / "nets.jsonl"
         run(capsys, "enumerate", "--species", "2", "--max-coeff", "2",
@@ -487,10 +504,19 @@ print(json.dumps({
 """
 
 
-def test_cli_import_leaves_out_numpy_and_multiprocessing():
+def _run_python(*args):
     src = str(Path(crn1d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_out_numpy_and_multiprocessing():
+    done = _run_python("-c", _STARTUP_PROBE)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"loaded": [], "same": True, "module": "crn1d.numeric", "count": 2}
+
+
+def test_module_form_runs_the_cli():
+    done = _run_python("-m", "crn1d", "classify", crn("gb"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["command"] == "classify"
