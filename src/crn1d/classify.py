@@ -74,45 +74,43 @@ class BiReactionProfile:
         return tuple(i for i in range(1, 5) if self.sets[i - 1])
 
 
-def _class_of(alpha: int, gamma: int) -> str:
-    if alpha > 0 and gamma > 0:
-        return "S1"
-    if alpha < 0 and gamma < 0:
-        return "S2"
-    if alpha > 0 and gamma < 0:
-        return "S3"
-    if alpha < 0 and gamma > 0:
-        return "S4"
-    return "S5"
+_CLASSES = ("S1", "S2", "S3", "S4", "S5")
+
+
+def _class_index(alpha: int, gamma: int) -> int:
+    """0-based index into ``_CLASSES`` of a species' sign class."""
+    if alpha > 0:
+        return 0 if gamma > 0 else 2 if gamma < 0 else 4
+    if alpha < 0:
+        return 1 if gamma < 0 else 3 if gamma > 0 else 4
+    return 4
 
 
 def sign_profile(alphas, gammas, lambda2) -> BiReactionProfile:
     """Sign profile of a two-reaction network from its sign data.
 
     ``alphas`` and ``gammas`` are as returned by
-    :func:`~crn1d.network.pair_sign_data`; ``lambda2`` is the second
-    reaction's change over the first's.  The profile depends on nothing
-    else, so a caller that already knows these (as ``enumerate`` does)
-    needs no :func:`~crn1d.network.one_dim_structure`.
+    :func:`~crn1d.network.sign_data`; ``lambda2`` is the second reaction's
+    change over the first's.  The profile depends on nothing else, so a
+    caller that already knows these (as ``enumerate`` does) needs no
+    :func:`~crn1d.network.one_dim_structure`.  One pass puts each species
+    in its class; the sets, sums and minima are read from those lists.
     """
-    classes = tuple(_class_of(a, g) for a, g in zip(alphas, gammas))
-    sets = tuple(
-        frozenset(k + 1 for k, c in enumerate(classes) if c == f"S{i}") for i in range(1, 6)
-    )
-    sums = []
-    mins = []
-    for i in range(4):
-        members = [abs(alphas[k - 1]) for k in sets[i]]
-        sums.append(sum(members))
-        mins.append(min(members) if members else None)
+    members: tuple[list[int], ...] = ([], [], [], [], [])  # 1-based species per class
+    classes = []
+    for k, (a, g) in enumerate(zip(alphas, gammas), start=1):
+        i = _class_index(a, g)
+        members[i].append(k)
+        classes.append(_CLASSES[i])
+    sizes = [[abs(alphas[k - 1]) for k in ks] for ks in members[:4]]
     return BiReactionProfile(
         alphas=tuple(alphas),
         gammas=tuple(gammas),
         lambda2=Fraction(lambda2),
-        classes=classes,
-        sets=sets,
-        sums=tuple(sums),
-        mins=tuple(mins),
+        classes=tuple(classes),
+        sets=tuple(map(frozenset, members)),
+        sums=tuple(map(sum, sizes)),
+        mins=tuple(min(v) if v else None for v in sizes),
     )
 
 

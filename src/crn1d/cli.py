@@ -39,10 +39,12 @@ from .network import (
     ReactionNetwork,
     ZeroBaseDirection,
     format_network,
+    format_reaction,
     pair_sign_data,
     parse_network,
+    sign_data,
 )
-from .numeric import DimensionMismatch, GProblem, NumericOverflow, OutOfDomain, eval_g, verify_witness
+from .numeric import DimensionMismatch, GProblem, NumericOverflow, OutOfDomain, eval_g_value, verify_witness
 from .witness import GoalUnattainable, Witness, witness_three, witness_two_general
 
 SCHEMA_VERSION = "1"
@@ -423,7 +425,7 @@ def _dump_g_csv(path: str, net: ReactionNetwork, w: Witness) -> None:
         for i in range(513):
             z = lo + (hi - lo) * i / 512
             try:
-                g = eval_g(gp, z)[0]
+                g = eval_g_value(gp, z)
             except OutOfDomain:
                 continue
             rows.append(f"{z!r},{g!r}")
@@ -502,9 +504,13 @@ def _primitive_directions(species: int, bound: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _species_names(species: int) -> tuple[str, ...]:
+    return tuple(f"X{k + 1}" for k in range(species))
+
+
 def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
-    """Canonical representatives among networks with changes (c1*e, c2*e)."""
-    names = tuple(f"X{k + 1}" for k in range(species))
+    """Canonical representatives among networks with changes (c1*e, c2*e),
+    each as its coefficient pairs ``((a1, p1), (a2, p2))``."""
     d1 = tuple(c1 * v for v in e)
     d2 = tuple(c2 * v for v in e)
     ranges1 = [range(max(0, -d1[k]), bound - max(0, d1[k]) + 1) for k in range(species)]
@@ -519,8 +525,9 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
             if not all(e[k] != 0 or a1[k] > 0 or a2[k] > 0 for k in range(species)):
                 continue
             p2 = tuple(a + d for a, d in zip(a2, d2))
-            if canonical_key(((a1, p1), (a2, p2))) == (a1 + p1, a2 + p2):
-                yield ReactionNetwork(names, (Reaction(a1, p1), Reaction(a2, p2)))
+            pair = ((a1, p1), (a2, p2))
+            if canonical_key(pair) == (a1 + p1, a2 + p2):
+                yield pair
 
 
 def _cells(max_coeff: int, directions):
@@ -541,32 +548,46 @@ def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
     Passing ``directions`` restricts the sweep to those base directions.
     """
     dirs = directions if directions is not None else _primitive_directions(species, max_coeff)
+    names = _species_names(species)
     for e, c1, c2 in _cells(max_coeff, dirs):
-        yield from _cell_networks(species, max_coeff, e, c1, c2)
+        for pair in _cell_networks(species, max_coeff, e, c1, c2):
+            yield ReactionNetwork(names, tuple(Reaction(*rx) for rx in pair))
 
 
 def _cell_records(cell) -> list[tuple[str, str]]:
     """``(tag, JSONL line)`` for each network of one cell.
 
-    The cell fixes the change vectors ``(c1*e, c2*e)``, so lambda2 is
-    ``c2/c1`` without elimination, and the capacity comes from the same
-    ladder :func:`classify` runs on the pair's sign profile.  The bi-arrow
-    count is the number of species in S1..S4 when the two reactions are
-    opposed (one pair, embedding on each such species) and 0 otherwise.
+    The cell fixes the change vectors ``(c1*e, c2*e)``, so every network in
+    it has ``gammas = c1*e`` and lambda2 ``= c2/c1``, known without
+    elimination.  The sign profile depends only on ``(alphas, gammas,
+    lambda2)``, so within the cell it depends only on ``alphas``: the
+    capacity (the same ladder :func:`classify` runs) and the bi-arrow count
+    are computed once per distinct ``alphas`` and are exact for every
+    network sharing it.  The bi-arrow count is the number of species in
+    S1..S4 when the two reactions are opposed (one pair, embedding on each
+    such species) and 0 otherwise.
     """
     species, bound, e, c1, c2 = cell
+    names = _species_names(species)
     lambda2 = Fraction(c2, c1)
+    derived: dict[tuple[int, ...], tuple[str, str, int]] = {}  # alphas -> (tag, rule, ad)
     out = []
-    for net in _cell_networks(species, bound, e, c1, c2):
-        profile = sign_profile(*pair_sign_data(net, 0, 1), lambda2)
-        capacity = capacity_class_bi(profile, lambda2)
+    for first, second in _cell_networks(species, bound, e, c1, c2):
+        alphas, gammas = sign_data(first, second)
+        fields = derived.get(alphas)
+        if fields is None:
+            profile = sign_profile(alphas, gammas, lambda2)
+            capacity = capacity_class_bi(profile, lambda2)
+            ad = sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0
+            fields = derived[alphas] = (capacity.tag, capacity.rule, ad)
+        tag, rule, ad = fields
         record = {
-            "network": format_network(net).splitlines(),
-            "tag": capacity.tag,
-            "rule": capacity.rule,
-            "ad": sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0,
+            "network": [format_reaction(*first, names), format_reaction(*second, names)],
+            "tag": tag,
+            "rule": rule,
+            "ad": ad,
         }
-        out.append((capacity.tag, json.dumps(record, sort_keys=True)))
+        out.append((tag, json.dumps(record, sort_keys=True)))
     return out
 
 

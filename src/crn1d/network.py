@@ -62,6 +62,10 @@ def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _change(reactant: Sequence[int], product: Sequence[int]) -> tuple[int, ...]:
+    return tuple(p - r for r, p in zip(reactant, product))
+
+
 @dataclass(frozen=True)
 class Reaction:
     """A single reaction, stored as dense coefficient vectors.
@@ -84,7 +88,7 @@ class Reaction:
 
     @property
     def change(self) -> tuple[int, ...]:
-        return tuple(p - r for r, p in zip(self.reactant, self.product))
+        return _change(self.reactant, self.product)
 
     def __iter__(self):
         """Unpack as ``reactant, product``."""
@@ -261,27 +265,32 @@ def _format_complex(coeffs: Sequence[int], species: Sequence[str]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def format_reaction(reactant: Sequence[int], product: Sequence[int], species: Sequence[str]) -> str:
+    """One ``.crn`` line, ``reactant -> product``, over the species names."""
+    return f"{_format_complex(reactant, species)} -> {_format_complex(product, species)}"
+
+
 def format_network(net: ReactionNetwork) -> str:
     """Render a network in the ``.crn`` format; inverse of :func:`parse_network`."""
-    lines = []
-    for rx in net.reactions:
-        lhs = _format_complex(rx.reactant, net.species)
-        rhs = _format_complex(rx.product, net.species)
-        lines.append(f"{lhs} -> {rhs}")
-    return "\n".join(lines) + "\n"
+    return "".join(format_reaction(*rx, net.species) + "\n" for rx in net.reactions)
+
+
+def sign_data(first, second) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alphas, gammas) of the reaction pair (first, second).
+
+    Each reaction is a ``(reactant, product)`` pair of coefficient vectors
+    (a :class:`Reaction` unpacks to one).  ``alphas[k]`` is the reactant
+    difference of species ``k``, first minus second, and ``gammas`` is the
+    change vector of ``first``: the data the scalar reduction of the pair
+    and its sign classes are built from.
+    """
+    (r1, p1), (r2, _p2) = first, second
+    return tuple(a - b for a, b in zip(r1, r2)), _change(r1, p1)
 
 
 def pair_sign_data(net: ReactionNetwork, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(alphas, gammas) of the two-reaction subnetwork (i, j), user order.
-
-    ``alphas[k]`` is the reactant difference of species ``k`` (reaction
-    ``i`` minus reaction ``j``, both 0-based) and ``gammas`` is the change
-    vector of reaction ``i``: the data the scalar reduction of the pair and
-    its sign classes are built from.
-    """
-    ri, rj = net.reactions[i], net.reactions[j]
-    alphas = tuple(ri.reactant[k] - rj.reactant[k] for k in range(net.num_species))
-    return alphas, ri.change
+    """:func:`sign_data` of reactions ``i`` and ``j`` (0-based), user order."""
+    return sign_data(net.reactions[i], net.reactions[j])
 
 
 @dataclass(frozen=True)

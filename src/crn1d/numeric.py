@@ -141,24 +141,41 @@ def is_constant(gp: GProblem) -> bool:
     return all(res == 0 for _p, res in gp.pole_groups)
 
 
-def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
-    """Evaluate (g, g', g'') at ``z``; raises OutOfDomain off the interval."""
+def _arguments(gp: GProblem, z) -> list[tuple[int, int, float]]:
+    """``(alpha, gamma, gamma*z + offset)`` of each species with a nonzero
+    alpha; raises OutOfDomain off the interval or where any argument is not
+    positive."""
     z = float(z)
     if not (gp.lower < z < gp.upper):
         raise OutOfDomain(f"z={z} outside ({gp.lower}, {gp.upper})")
-    g0 = []
-    g1 = []
-    g2 = []
+    out = []
     for a, g, d in gp.terms:
         arg = g * z + d
         if arg <= 0.0:
             raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
-        if a == 0:
-            continue
-        g0.append(a * math.log(arg))
-        g1.append(a * g / arg)
-        g2.append(a * g * g / (arg * arg))
-    return math.fsum(g0), math.fsum(g1), -math.fsum(g2)
+        if a != 0:
+            out.append((a, g, arg))
+    return out
+
+
+def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
+    """Evaluate (g, g', g'') at ``z``; raises OutOfDomain off the interval."""
+    args = _arguments(gp, z)
+    return (
+        math.fsum([a * math.log(arg) for a, _g, arg in args]),
+        math.fsum([a * g / arg for a, g, arg in args]),
+        -math.fsum([a * g * g / (arg * arg) for a, g, arg in args]),
+    )
+
+
+def eval_g_value(gp: GProblem, z) -> float:
+    """g alone: ``eval_g(gp, z)[0]`` bit for bit (same terms, same fsum)."""
+    return math.fsum([a * math.log(arg) for a, _g, arg in _arguments(gp, z)])
+
+
+def eval_g_slope(gp: GProblem, z) -> float:
+    """g' alone: ``eval_g(gp, z)[1]`` bit for bit (same terms, same fsum)."""
+    return math.fsum([a * g / arg for a, g, arg in _arguments(gp, z)])
 
 
 def _limit(gp: GProblem, side: str) -> tuple[str, float]:
@@ -317,11 +334,11 @@ def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> fl
             return fa
         if _sign_at(p, a):
             try:
-                ga, gb = eval_g(gp, fa)[1], eval_g(gp, fb)[1]
+                ga, gb = eval_g_slope(gp, fa), eval_g_slope(gp, fb)
             except OutOfDomain:
                 ga = gb = 0.0
             if min(ga, gb) < 0.0 < max(ga, gb):
-                return _bracketed_root(lambda z: eval_g(gp, z)[1], lambda z: eval_g(gp, z)[1:], fa, fb)
+                return _bracketed_root(lambda z: eval_g_slope(gp, z), lambda z: eval_g(gp, z)[1:], fa, fb)
         mid = (a + b) / 2
         sign_mid = _sign_at(p, mid)
         if sign_mid == 0:
@@ -388,7 +405,7 @@ def _march_to_sign(gp: GProblem, K: float, start: float, endpoint: float, want_p
             if zn == endpoint:
                 return None
         try:
-            val = eval_g(gp, zn)[0] - K
+            val = eval_g_value(gp, zn) - K
         except OutOfDomain:
             return None
         if val == 0.0:
@@ -410,7 +427,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
     K = float(K)
 
     def level(z):
-        return eval_g(gp, z)[0] - K
+        return eval_g_value(gp, z) - K
 
     def level_and_slope(z):
         g, g1, _g2 = eval_g(gp, z)
@@ -420,7 +437,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
     kind_lo, val_lo = _limit(gp, "lower")
     kind_hi, val_hi = _limit(gp, "upper")
     tol_deg = 1e-12 * (1.0 + abs(K))
-    crit_vals = [eval_g(gp, c)[0] for c in crits]
+    crit_vals = [eval_g_value(gp, c) for c in crits]
     suspected = tuple(c for c, v in zip(crits, crit_vals) if abs(v - K) <= tol_deg)
 
     ends = [gp.lower, *crits, gp.upper]

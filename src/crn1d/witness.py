@@ -55,6 +55,7 @@ from .numeric import (
     _bracketed_root,
     critical_points,
     eval_g,
+    eval_g_value,
     find_roots,
     monomials,
     verify_witness,
@@ -285,9 +286,9 @@ def choose_K_three(gp: GProblem) -> float:
     below = max((c for c in crits if c < 0), default=None)
     above = min((c for c in crits if c > 0), default=None)
     candidates = [c for c in (above, below) if c is not None]
-    candidates.sort(key=lambda c: -abs(eval_g(gp, c)[0] - g0))
+    candidates.sort(key=lambda c: -abs(eval_g_value(gp, c) - g0))
     for c in candidates:
-        K = 0.5 * (g0 + eval_g(gp, c)[0])
+        K = 0.5 * (g0 + eval_g_value(gp, c))
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
             return K
@@ -453,7 +454,7 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
         return None
 
     def pick(probe):
-        for K in _level_ladder(eval_g(probe, 0.0)[0], g2_sign):
+        for K in _level_ladder(eval_g_value(probe, 0.0), g2_sign):
             try:
                 pair = _straddle(find_roots(probe, K).roots)
             except CrnError:

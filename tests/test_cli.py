@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crn1d
-from crn1d import canonical_key, classify, enumerate_bi_networks, main, parse_network
+from crn1d import (
+    ReactionNetwork,
+    canonical_key,
+    classify,
+    enumerate_bi_networks,
+    format_network,
+    main,
+    parse_network,
+)
 
 from conftest import DATA
 from support import brute_force_key
@@ -392,6 +400,19 @@ class TestEnumerate:
             assert (record["tag"], record["rule"], record["ad"]) == (
                 report.capacity.tag, report.capacity.rule, report.ad.total,
             ), line
+
+    @pytest.mark.parametrize("species,bound", [(2, 3), (3, 2)])
+    def test_generator_matches_records(self, capsys, tmp_path, species, bound):
+        # records are formatted from coefficient pairs; the public generator
+        # wraps the same pairs in networks, in the same order
+        out_path = tmp_path / "nets.jsonl"
+        code, _, _ = run(capsys, "enumerate", "--species", str(species), "--max-coeff", str(bound),
+                         "--out", str(out_path))
+        assert code == 0
+        nets = list(enumerate_bi_networks(species, bound))
+        assert all(isinstance(net, ReactionNetwork) for net in nets)
+        records = [json.loads(line)["network"] for line in out_path.read_text().splitlines()]
+        assert [format_network(net).splitlines() for net in nets] == records
 
     def test_canonical_forms_are_unique(self, capsys, tmp_path):
         out_path = tmp_path / "nets.jsonl"

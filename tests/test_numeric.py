@@ -14,6 +14,8 @@ from crn1d import (
     Witness,
     critical_points,
     eval_g,
+    eval_g_slope,
+    eval_g_value,
     find_roots,
     is_constant,
     oracle_count,
@@ -79,10 +81,11 @@ class TestEvalG:
 
     def test_out_of_domain(self):
         gp = GProblem((1, 1), (1, -1), (1, 1))
-        with pytest.raises(OutOfDomain):
-            eval_g(gp, 1.0)
-        with pytest.raises(OutOfDomain):
-            eval_g(gp, -2.0)
+        for evaluate in (eval_g, eval_g_value, eval_g_slope):
+            with pytest.raises(OutOfDomain):
+                evaluate(gp, 1.0)
+            with pytest.raises(OutOfDomain):
+                evaluate(gp, -2.0)
 
     def test_warm_problem_does_no_exact_arithmetic(self, monkeypatch):
         # domain (-1, 8/15); a species without weight and a fixed one ride along

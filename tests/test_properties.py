@@ -21,12 +21,15 @@ from crn1d import (
     critical_points,
     embed,
     eval_g,
+    eval_g_slope,
+    eval_g_value,
     find_roots,
     format_network,
     g_problem,
     one_dim_structure,
     oracle_count,
     parse_network,
+    sign_profile,
 )
 
 from support import (
@@ -149,6 +152,40 @@ class TestCapacity:
             assert rep.reduced.capacity.tag == rep.capacity.tag
 
 
+class TestSignProfile:
+    # restated from the definition: S1 (+,+), S2 (-,-), S3 (+,-), S4 (-,+)
+    # by the signs of (alpha, gamma); S5 when either is zero
+    @staticmethod
+    def restated_class(alpha, gamma):
+        signs = ((alpha > 0) - (alpha < 0), (gamma > 0) - (gamma < 0))
+        return {(1, 1): "S1", (-1, -1): "S2", (1, -1): "S3", (-1, 1): "S4"}.get(signs, "S5")
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda s: st.tuples(
+                st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
+                st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
+            )
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    def test_matches_restatement(self, data, lambda2):
+        alphas, gammas = data
+        prof = sign_profile(alphas, gammas, lambda2)
+        classes = tuple(self.restated_class(a, g) for a, g in zip(alphas, gammas))
+        assert prof.alphas == tuple(alphas)
+        assert prof.gammas == tuple(gammas)
+        assert prof.lambda2 == lambda2
+        assert prof.classes == classes
+        for i in range(1, 6):
+            members = {k + 1 for k, c in enumerate(classes) if c == f"S{i}"}
+            assert prof.sets[i - 1] == members
+            if i < 5:
+                sizes = [abs(alphas[k - 1]) for k in members]
+                assert prof.sums[i - 1] == sum(sizes)
+                assert prof.mins[i - 1] == (min(sizes) if sizes else None)
+
+
 def reaction_lists(species: int):
     vec = st.tuples(*[st.integers(min_value=0, max_value=2)] * species)
     return st.lists(st.tuples(vec, vec), min_size=1, max_size=4)
@@ -223,6 +260,18 @@ class TestRootFinding:
         crits = critical_points(gp)
         for z1, z2 in zip(rs.roots, rs.roots[1:]):
             assert any(z1 < c < z2 for c in crits)
+
+
+class TestEvaluators:
+    @given(seeds, st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=8))
+    def test_one_component_evaluators_match_eval_g(self, seed, spots):
+        gp = random_gproblem(Random(seed))
+        lo = gp.lower if math.isfinite(gp.lower) else -1e3
+        hi = gp.upper if math.isfinite(gp.upper) else 1e3
+        for z in [0.0, *(lo + t * (hi - lo) for t in spots)]:
+            g, g1, _g2 = eval_g(gp, z)
+            assert eval_g_value(gp, z).hex() == g.hex()
+            assert eval_g_slope(gp, z).hex() == g1.hex()
 
 
 class TestGProblemCache:
