@@ -58,13 +58,21 @@ class UsageError(CrnError):
 # Number tagging.
 
 
+def _binary64(frac: Fraction) -> float:
+    """The binary64 rounding of an exact number, infinite beyond the range."""
+    try:
+        return float(frac)
+    except OverflowError:
+        return math.inf if frac > 0 else -math.inf
+
+
 def _tag(value) -> dict:
     if isinstance(value, float):
         if math.isfinite(value):
             return {"float64": value}
         return {"float64": str(value)}
     frac = Fraction(value)
-    return {"rational": str(frac), "decimal": "%.17g" % float(frac)}
+    return {"rational": str(frac), "decimal": "%.17g" % _binary64(frac)}
 
 
 def _tag_seq(values) -> list:
@@ -94,15 +102,13 @@ def _untag(value):
 
 
 def _show(tagged) -> str:
-    if tagged is None:
-        return "-"
     if "float64" in tagged:
         raw = tagged["float64"]
         return raw if isinstance(raw, str) else "%.12g" % raw
     rational = tagged["rational"]
     if "/" not in rational:
         return rational
-    return f"{rational} ({'%.6g' % float(Fraction(rational))})"
+    return f"{rational} ({'%.6g' % _binary64(Fraction(rational))})"
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +380,13 @@ def _pretty_verification(doc: dict) -> list[str]:
 
 
 def _read_network(path: str) -> ReactionNetwork:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
+    try:
+        with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     return parse_network(text)
 
 
@@ -439,7 +444,7 @@ def _dump_g_csv(path: str, net: ReactionNetwork, w: Witness) -> None:
 def cmd_witness(args) -> int:
     net = _read_network(args.path)
     report = classify(net)
-    witness = witness_three(net) if args.goal == "three" else witness_two_general(net)
+    witness = witness_three(report) if args.goal == "three" else witness_two_general(report)
     verification = verify_witness(net, witness, args.tol)
     doc = _classify_doc(report, "witness")
     doc["witness"] = _witness_section(args.goal, witness)
@@ -706,6 +711,8 @@ def main(argv=None) -> int:
             parser.error("--max-coeff must be between 1 and 4")
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")
+    if args.command in ("witness", "verify") and not 0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
     try:
         return args.func(args)
     except (ParseError, UsageError, DimensionMismatch) as exc:

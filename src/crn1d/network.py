@@ -154,12 +154,17 @@ def _tokenize_line(text: str, lineno: int) -> list[tuple[str, str, int]]:
             tokens.append(("PLUS", "+", col))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("coefficients must be integers", lineno, col)
+            try:
+                int(text[i:j])
+            except ValueError:  # more digits than Python converts to an int
+                raise ParseError(f"coefficient has {j - i} digits, too many to read",
+                                 lineno, col) from None
             tokens.append(("INT", text[i:j], col))
             i = j
             continue

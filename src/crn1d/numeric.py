@@ -688,9 +688,12 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
     ``sum_j lambda_j kappa_j x^(alpha_j)``, the conservation relations pinned
     by ``c``, and flags numeric nondegeneracy (the directional derivative of
     the balance along gamma, relatively bounded away from zero).  Raises
-    ``ValueError`` for a non-finite number or a rate constant that is not
-    positive: such a witness is malformed rather than failed.
+    ``ValueError`` for a non-finite number, a rate constant that is not
+    positive (a malformed witness rather than a failed one) or a meaningless
+    ``tol`` (not finite and positive).
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     struct = one_dim_structure(net)
     s = net.num_species
     m = net.num_reactions

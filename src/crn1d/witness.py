@@ -1,11 +1,13 @@
 """Construction of verified steady-state witnesses.
 
-Two goals are supported.  ``witness_three`` targets bi-reaction networks in
-the finite-at-least-three capacity class: it picks exact rational offsets by
-the class-driven recipes (balancing the first derivative of the scalar
-reduction at the origin while forcing the right curvature), picks a level K
-between the origin's critical value and an adjacent one, confirms at least
-three crossings, and converts roots back to positive states.
+Two goals are supported, each constructed from the :class:`Report` that
+:func:`classify` built, which decides whether the goal is attainable.
+``witness_three`` targets bi-reaction networks in the finite-at-least-three
+capacity class: it picks exact rational offsets by the class-driven recipes
+(balancing the first derivative of the scalar reduction at the origin while
+forcing the right curvature), picks a level K between the origin's critical
+value and an adjacent one, confirms at least three crossings, and converts
+the roots of that confirming solve back to positive states.
 
 ``witness_two_general`` works for any reaction count once the sufficient
 pair certificate and the pair-diagram test hold.  It first tries to lift a
@@ -26,29 +28,22 @@ set, its flags are the verifier's (the endpoint construction leaves it
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arrows import AdReport, ad_count
+from .arrows import AdReport
 from .classify import (
     CAP_AT_LEAST_THREE,
     BiReactionProfile,
     LambdaNotOpposed,
     NotBiReaction,
-    bi_profile,
+    Report,
     capacity_class_bi,
     nondeg_pair,
-    sufficient_two_test,
 )
-from .network import (
-    CrnError,
-    OneDimStructure,
-    ReactionNetwork,
-    conservation_constants,
-    one_dim_structure,
-    pair_sign_data,
-)
+from .network import CrnError, OneDimStructure, ReactionNetwork, conservation_constants, pair_sign_data
 from .numeric import (
     GProblem,
     NumericOverflow,
@@ -104,13 +99,6 @@ class Witness:
     level: float | None = None
     offsets: tuple | None = None
     nondegenerate: tuple[bool, ...] | None = None
-
-
-def g_problem(profile: BiReactionProfile, d) -> GProblem:
-    """Scalar reduction of a bi-reaction profile for offsets ``d``."""
-    if len(d) != len(profile.alphas):
-        raise ValueError("offset vector length does not match the species count")
-    return GProblem(profile.alphas, profile.gammas, tuple(d))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +253,14 @@ def _level_ladder(g0: float, side: float):
         yield g0 + delta if side > 0 else g0 - delta
 
 
-def choose_K_three(gp: GProblem) -> float:
-    """A level with at least three confirmed crossings.
+def choose_K_three(gp: GProblem) -> tuple[float, tuple[float, ...]]:
+    """A level with at least three confirmed crossings, and those crossings.
 
     Expects a critical point at the origin with nonzero curvature (what the
     offset recipes guarantee).  Prefers the midpoint between the origin's
     value and an adjacent critical value; falls back to a shrinking offset
-    from the origin's value.
+    from the origin's value.  Returns ``(K, roots)`` from the solve that
+    confirmed the level.
     """
     g0, g1_0, g2_0 = eval_g(gp, 0.0)
     scale1 = sum(abs(a * g) / d for a, g, d in gp.terms if g != 0)
@@ -285,17 +274,12 @@ def choose_K_three(gp: GProblem) -> float:
         crits.remove(min(crits, key=abs))  # the origin's own critical point
     below = max((c for c in crits if c < 0), default=None)
     above = min((c for c in crits if c > 0), default=None)
-    candidates = [c for c in (above, below) if c is not None]
-    candidates.sort(key=lambda c: -abs(eval_g_value(gp, c) - g0))
-    for c in candidates:
-        K = 0.5 * (g0 + eval_g_value(gp, c))
+    values = [eval_g_value(gp, c) for c in (above, below) if c is not None]
+    values.sort(key=lambda v: -abs(v - g0))
+    for K in itertools.chain((0.5 * (g0 + v) for v in values), _level_ladder(g0, g2_0)):
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
-            return K
-    for K in _level_ladder(g0, g2_0):
-        rs = find_roots(gp, K)
-        if len(rs.roots) >= 3 and not rs.suspected_degenerate:
-            return K
+            return K, rs.roots
     raise NoSecondCriticalPoint("no level produced three confirmed crossings")
 
 
@@ -367,33 +351,28 @@ def _pair_line(alphas, gammas, d0, pick):
     return tuple(d), K, find_roots(GProblem(alphas, gammas, tuple(d)), K)
 
 
-def witness_three(net: ReactionNetwork) -> Witness:
+def witness_three(report: Report) -> Witness:
     """Three verified positive steady states for a qualifying bi-reaction network.
 
-    The level comes from :func:`choose_K_three` on the line of the pair
-    with its weightless moving species masked (see :func:`_pair_line`).
+    Reads the profile and capacity class from ``report`` (what
+    :func:`classify` built).  The level comes from :func:`choose_K_three` on
+    the line of the pair with its weightless moving species masked (see
+    :func:`_pair_line`).
     """
-    struct = one_dim_structure(net)
-    if net.num_reactions != 2:
+    net, profile = report.network, report.profile
+    if profile is None:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
-    profile = bi_profile(net, struct)
-    cap = capacity_class_bi(profile, profile.lambda2)
-    if cap.tag != CAP_AT_LEAST_THREE:
-        raise GoalUnattainable(f"capacity class is {cap.tag}; three states are not available")
-
-    def pick(probe):
-        K = choose_K_three(probe)
-        return K, find_roots(probe, K).roots
-
-    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, choose_d_three(profile), pick)
+    if report.capacity.tag != CAP_AT_LEAST_THREE:
+        raise GoalUnattainable(f"capacity class is {report.capacity.tag}; three states are not available")
+    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, choose_d_three(profile), choose_K_three)
     if len(rs.roots) < 3:
         raise RecipeFailed("crossings lost after widening passive offsets")
-    witness = assemble_witness(net, struct, d_final, K, rs.roots)
-    report = verify_witness(net, witness, 1e-9)
-    if not report.passed:
-        worst = max(c.rate_residual for c in report.states)
+    witness = assemble_witness(net, report.structure, d_final, K, rs.roots)
+    verification = verify_witness(net, witness, 1e-9)
+    if not verification.passed:
+        worst = max(c.rate_residual for c in verification.states)
         raise RecipeFailed(f"witness failed verification (worst residual {worst})")
-    return replace(witness, nondegenerate=tuple(c.nondegenerate for c in report.states))
+    return replace(witness, nondegenerate=tuple(c.nondegenerate for c in verification.states))
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +685,18 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
     return None
 
 
-def witness_two_general(net: ReactionNetwork) -> Witness:
+def witness_two_general(report: Report) -> Witness:
     """Two verified positive steady states on one line, any reaction count.
 
-    Requires the sufficient pair certificate together with the pair-diagram
-    test; raises :class:`GoalUnattainable` otherwise.  Tries to lift a
-    nondegenerate opposed pair first, then the endpoint construction.
+    Requires the sufficient pair certificate of ``report`` (what
+    :func:`classify` built) together with the pair-diagram test; raises
+    :class:`GoalUnattainable` otherwise.  Tries to lift a nondegenerate
+    opposed pair first, then the endpoint construction.
     """
-    struct = one_dim_structure(net)
-    m = net.num_reactions
-    if struct.t == m:
+    net, struct = report.network, report.structure
+    if struct.t == net.num_reactions:
         raise GoalUnattainable("no opposed reaction pair exists")
-    ad = ad_count(net, struct)
-    cert = sufficient_two_test(net, struct, ad)
+    cert = report.sufficient_two
     if cert is None:
         raise GoalUnattainable("no opposed pair with finite capacity")
     if not cert.satisfied:
@@ -728,4 +706,4 @@ def witness_two_general(net: ReactionNetwork) -> Witness:
         witness = _lift_pair(net, struct, i, j)
         if witness is not None:
             return witness
-    return _two_by_endpoints(net, struct, ad)
+    return _two_by_endpoints(net, struct, report.ad)

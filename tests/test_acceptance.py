@@ -22,7 +22,6 @@ from crn1d import (
     essential_sets,
     eval_g,
     find_roots,
-    g_problem,
     is_constant,
     main,
     one_dim_structure,
@@ -79,7 +78,7 @@ def states_from_reference(net, kappa1, kappa2, c):
     prof = bi_profile(net, struct)
     g0 = Fraction(prof.gammas[0])
     d = (Fraction(0),) + tuple(-Fraction(ck) / g0 for ck in c)
-    gp = g_problem(prof, d)
+    gp = GProblem(prof.alphas, prof.gammas, d)
     K = math.log(float(-prof.lambda2) * float(kappa2) / float(kappa1))
     roots = find_roots(gp, K)
     states = []
@@ -137,7 +136,7 @@ def test_criterion_2_reference_witness_tables(gb, gc, gd):
 def test_criterion_3_constructive_witnesses(gb, gc, gd):
     for name, net in [("gb", gb), ("gc", gc), ("gd", gd)]:
         t0 = time.perf_counter()
-        w = witness_three(net)
+        w = witness_three(classify(net))
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"{name}: witness took {elapsed:.3f}s"
 
@@ -148,7 +147,7 @@ def test_criterion_3_constructive_witnesses(gb, gc, gd):
         assert all(b - a > 1e-6 for a, b in zip(zs, zs[1:]))
 
         prof = bi_profile(net, one_dim_structure(net))
-        gp = g_problem(prof, w.offsets)
+        gp = GProblem(prof.alphas, prof.gammas, w.offsets)
         assert oracle_count(gp, w.level) == 3, name
 
 
@@ -187,13 +186,13 @@ def test_criterion_5_randomized_capacity_checks():
             assert prof.lambda2 > 0
 
         elif tag == "finite-at-least-three":
-            w = witness_three(net)
+            w = witness_three(rep)
             assert verify_witness(net, w, tol=1e-9).passed
             assert rep.ad.total >= 3
 
         elif tag == "infinitely-many":
             d = tuple(abs(g) if g else Fraction(1) for g in prof.gammas)
-            gp = g_problem(prof, d)
+            gp = GProblem(prof.alphas, prof.gammas, d)
             assert is_constant(gp)
             a = gp.lower if math.isfinite(gp.lower) else -9.0
             b = gp.upper if math.isfinite(gp.upper) else 9.0
@@ -210,7 +209,7 @@ def test_criterion_5_randomized_capacity_checks():
                     Fraction(sweep.randint(1, 96), sweep.randint(1, 12))
                     for _ in prof.gammas
                 )
-                gp = g_problem(prof, d)
+                gp = GProblem(prof.alphas, prof.gammas, d)
                 assert not is_constant(gp)
                 lo = gp.lower if math.isfinite(gp.lower) else -60.0
                 hi = gp.upper if math.isfinite(gp.upper) else 60.0
@@ -275,7 +274,7 @@ def test_criterion_7_known_issue_handling(capsys, w1, w2):
     bad = Witness(kappa=(1.0, 9.0, 1.0), c=(0.5,), states=printed)
     assert not verify_witness(w1, bad, tol=1e-3).passed
 
-    w = witness_two_general(w1)
+    w = witness_two_general(classify(w1))
     assert len(w.states) == 2
     assert verify_witness(w1, w, tol=1e-9).passed
 

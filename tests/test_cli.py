@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,36 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "/nonexistent.crn")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["witness", "--goal", "two"], ["verify", "--witness", "unread.json"]],
+    )
+    def test_undecodable_network_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.crn"
+        path.write_bytes(b"X1 -> 2 X1\n\xff X1 -> 0\n")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
+
+    def test_over_long_coefficient(self, capsys, monkeypatch):
+        text = "X1 -> " + "9" * 4301 + " X1\n"
+        code, out, err = run(capsys, "classify", "-", stdin=text, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1, column 7: coefficient has 4301 digits, too many to read\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["witness", "verify"])
+    def test_meaningless_tolerance(self, capsys, tmp_path, command, tol):
+        extra = ["--goal", "two"] if command == "witness" else ["--witness", str(tmp_path / "w.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, crn("gb"), *extra, f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: --tol must be finite and positive\n")
+
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -351,6 +382,25 @@ class TestOverflow:
         assert code == 2
         assert out == ""
         assert err.startswith("error: witness file:") and err.count("\n") == 1
+
+
+class TestNumbersBeyondBinary64:
+    # lambda = (1, -10^400) and (1, -10^400/3): exact, but beyond binary64
+    @pytest.mark.parametrize("gain", [1, 3])
+    def test_json_decimal_is_infinite(self, capsys, monkeypatch, gain):
+        text = f"A -> {gain + 1} A\n{10**400} A -> 0\n"
+        code, out, err = run(capsys, "classify", "-", stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        lam = json.loads(out)["structure"]["lambda"][1]
+        assert Fraction(lam["rational"]) == Fraction(-(10**400), gain)
+        assert lam["decimal"] == "-inf"
+
+    def test_pretty_shows_infinite_rounding(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "classify", "-", "--pretty", stdin=f"A -> 4 A\n{10**400} A -> 0\n",
+                             monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        lam_line = next(line for line in out.splitlines() if line.strip().startswith("lambda:"))
+        assert lam_line.endswith("/3 (-inf)")
 
 
 class TestEnumerate:

@@ -86,6 +86,19 @@ ENUMERATE = {
     (4, 2): "11a25524a6485810860cc4d715078eb92f5689cbcaafef45a2da83a13baf7ba3",
 }
 
+# pool sample: (witness reports digest, verify reports digest), each over
+# the concatenated stdout of one run per network in file order
+POOLS = {
+    "pool_two": (
+        "68db1893f98b7ed6361bdb5a3c85ac5736e1d1078a7ea172ef3d67705ece6d92",
+        "47ef13cc7bb92e77ad876ce545f6388e5a8fd52d714cfd1e58599e5ec5761a8f",
+    ),
+    "pool_multi": (
+        "8d4ce8d8ba383000b51ffd23f4a2a063c0a50a3cbfe3da52ba7eea7b13051f20",
+        "6fcf8fc2826d6c7559b9e0591d7b028d067f3cad2e630739b336e42da8407303",
+    ),
+}
+
 # repr of critical_points and find_roots over 200 seeded g-problems
 ROOTS = "fdbc7b6d1026532c92de27ad33c0633835d3b2cf39a4c0c9d73462b97e8fd289"
 
@@ -117,6 +130,25 @@ def test_enumerate_bytes(capsys, tmp_path, species, bound):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE[(species, bound)]
+
+
+@pytest.mark.parametrize("name", sorted(POOLS))
+def test_pool_witness_and_verify_bytes(capsys, tmp_path, name):
+    lines = (DATA / f"{name}.txt").read_text().splitlines()
+    goal = "three" if name == "pool_two" else "two"
+    crn, report = tmp_path / "net.crn", tmp_path / "witness.json"
+    witnesses, verifies = hashlib.sha256(), hashlib.sha256()
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        crn.write_text(line.replace(" / ", "\n") + "\n")
+        assert main(["witness", str(crn), "--goal", goal]) == 0, line
+        out = capsys.readouterr().out
+        witnesses.update(out.encode())
+        report.write_text(out)
+        assert main(["verify", str(crn), "--witness", str(report)]) == 0, line
+        verifies.update(capsys.readouterr().out.encode())
+    assert (witnesses.hexdigest(), verifies.hexdigest()) == POOLS[name]
 
 
 def test_root_finder_bytes():

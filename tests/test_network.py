@@ -70,6 +70,16 @@ class TestParse:
         with pytest.raises(ParseError, match=fragment):
             parse_network(text)
 
+    def test_rejects_over_long_coefficient(self):
+        # int() refuses more than 4300 digits by default; the tokenizer reports it
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse_network("X1 -> 2 X1\nX1 + " + "7" * 5000 + " X1 -> 0")
+        assert (err.value.line, err.value.column) == (2, 6)
+
+    def test_rejects_non_decimal_digit(self):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_network("\u00b2 X1 -> X1")
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_network("X1 -> 2 X1\nX2 => X1")

@@ -241,3 +241,9 @@ class TestVerifyWitness:
     def test_rejects_nonpositive_rate(self, ga):
         with pytest.raises(ValueError, match="rate constants must be positive"):
             verify_witness(ga, Witness(kappa=(0.0, 1.0), c=(0.0,), states=()))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_meaningless_tolerance(self, ga, tol):
+        w = Witness(kappa=(1.0, 1.0), c=(0.0,), states=((1.0, 1.0),))
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            verify_witness(ga, w, tol)

@@ -25,7 +25,6 @@ from crn1d import (
     eval_g_value,
     find_roots,
     format_network,
-    g_problem,
     one_dim_structure,
     oracle_count,
     parse_network,
@@ -346,7 +345,7 @@ class TestRecipes:
                 for a, g, dk in zip(prof.alphas, prof.gammas, d)
             )
             assert curvature != 0
-            gp = g_problem(prof, d)
+            gp = GProblem(prof.alphas, prof.gammas, d)
             assert gp.lower < 0 < gp.upper
         assert found == 12
 

@@ -15,8 +15,8 @@ from crn1d import (
     bi_profile,
     choose_K_three,
     choose_d_three,
+    classify,
     find_roots,
-    g_problem,
     one_dim_structure,
     parse_network,
     verify_witness,
@@ -47,7 +47,7 @@ class TestChooseD:
 
     def test_offsets_balance_the_origin(self, gc):
         prof = profile_of(gc)
-        gp = g_problem(prof, choose_d_three(prof))
+        gp = GProblem(prof.alphas, prof.gammas, choose_d_three(prof))
         from crn1d import eval_g
 
         g0, g1, g2 = eval_g(gp, 0.0)
@@ -56,15 +56,17 @@ class TestChooseD:
 
     def test_g_problem_length_check(self, gb):
         with pytest.raises(ValueError):
-            g_problem(profile_of(gb), (1, 2))
+            prof = profile_of(gb)
+            GProblem(prof.alphas, prof.gammas, (1, 2))
 
 
 class TestChooseK:
     def test_three_confirmed_crossings(self, gb):
         prof = profile_of(gb)
-        gp = g_problem(prof, choose_d_three(prof))
-        K = choose_K_three(gp)
+        gp = GProblem(prof.alphas, prof.gammas, choose_d_three(prof))
+        K, roots = choose_K_three(gp)
         rs = find_roots(gp, K)
+        assert roots == rs.roots
         assert len(rs.roots) >= 3
         assert rs.suspected_degenerate == ()
 
@@ -78,7 +80,7 @@ class TestAssemble:
         struct = one_dim_structure(gb)
         d = (16, Fraction(8, 15), 1)
         gp = GProblem((2, 1, -2), (1, 1, 1), d)
-        K = choose_K_three(gp)
+        K, _ = choose_K_three(gp)
         roots = find_roots(gp, K).roots
         w = assemble_witness(gb, struct, d, K, roots)
         assert w.kappa[0] == 1.0
@@ -109,7 +111,7 @@ class TestWitnessThree:
     @pytest.mark.parametrize("name", ["gb", "gc", "gd"])
     def test_three_verified_states(self, name, request):
         net = request.getfixturevalue(name)
-        w = witness_three(net)
+        w = witness_three(classify(net))
         assert len(w.states) == 3
         assert all(v > 0 for state in w.states for v in state)
         assert w.nondegenerate == (True, True, True)
@@ -120,7 +122,7 @@ class TestWitnessThree:
         assert count_line_states(net, w.kappa, w.c) == 3
 
     def test_gb_details(self, gb):
-        w = witness_three(gb)
+        w = witness_three(classify(gb))
         assert w.kappa[0] == 1.0
         assert w.kappa[1] == pytest.approx(89.0413422794189, rel=1e-9)
         assert w.c == (Fraction(232, 15), Fraction(15))
@@ -133,7 +135,7 @@ class TestWitnessThree:
             "X1 + X2 + 3 X3 + X4 -> 2 X3"
         )
         assert profile_of(net).classes == ("S1", "S1", "S4", "S5")
-        w = witness_three(net)
+        w = witness_three(classify(net))
         assert w.offsets == (16, Fraction(8, 15), 1, 112)
         assert w.c == (Fraction(232, 15), Fraction(15), Fraction(-96))
         assert verify_witness(net, w, 1e-9).passed
@@ -141,25 +143,25 @@ class TestWitnessThree:
 
     def test_rejects_at_most_two(self, ga):
         with pytest.raises(GoalUnattainable, match="finite-at-most-two"):
-            witness_three(ga)
+            witness_three(classify(ga))
 
     def test_rejects_zero_capacity(self):
         net = parse_network("X1 -> 2 X1\n2 X1 -> 3 X1")
         with pytest.raises(GoalUnattainable, match="zero"):
-            witness_three(net)
+            witness_three(classify(net))
 
     def test_rejects_infinite_capacity(self, example42):
         with pytest.raises(GoalUnattainable, match="infinitely-many"):
-            witness_three(example42)
+            witness_three(classify(example42))
 
     def test_rejects_three_reactions(self, w1):
         with pytest.raises(NotBiReaction):
-            witness_three(w1)
+            witness_three(classify(w1))
 
 
 class TestWitnessTwo:
     def test_w1_lifted_pair(self, w1):
-        w = witness_two_general(w1)
+        w = witness_two_general(classify(w1))
         assert len(w.states) == 2
         assert w.nondegenerate == (True, True)
         assert w.kappa[0] == 1.0
@@ -167,13 +169,13 @@ class TestWitnessTwo:
         assert count_line_states(w1, w.kappa, w.c) >= 2
 
     def test_gb_two_states(self, gb):
-        w = witness_two_general(gb)
+        w = witness_two_general(classify(gb))
         assert len(w.states) == 2
         assert verify_witness(gb, w, 1e-9).passed
         assert count_line_states(gb, w.kappa, w.c) == 2
 
     def test_nb_endpoint_construction(self, nb):
-        w = witness_two_general(nb)
+        w = witness_two_general(classify(nb))
         assert w.states == ((2, 3), (1, 2))
         assert w.c == (-1,)
         assert verify_witness(nb, w, 1e-9).passed
@@ -195,13 +197,13 @@ class TestWitnessTwo:
             assert balance == 0
 
     def test_nb_mirror_lands_on_continuum(self, nb_mirror):
-        w = witness_two_general(nb_mirror)
+        w = witness_two_general(classify(nb_mirror))
         assert w.states == ((2, 1), (1, 2))
         assert verify_witness(nb_mirror, w, 1e-9).passed
         assert count_line_states(nb_mirror, w.kappa, w.c) is None
 
     def test_w2_continuum_witness(self, w2):
-        w = witness_two_general(w2)
+        w = witness_two_general(classify(w2))
         assert w.kappa == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
         assert w.c == (1,)
         assert w.states == ((2, 3), (1, 2))
@@ -213,18 +215,18 @@ class TestWitnessTwo:
     def test_rejects_single_reaction(self):
         net = parse_network("X1 -> 2 X1")
         with pytest.raises(GoalUnattainable, match="no opposed reaction pair"):
-            witness_two_general(net)
+            witness_two_general(classify(net))
 
     def test_rejects_one_sided_multipliers(self):
         net = parse_network("X1 -> 2 X1\n2 X1 -> 3 X1")
         with pytest.raises(GoalUnattainable, match="no opposed reaction pair"):
-            witness_two_general(net)
+            witness_two_general(classify(net))
 
     def test_rejects_balanced_pair(self):
         net = parse_network("2 X1 -> 3 X1 + X2\nX1 + X2 -> 0")
         with pytest.raises(GoalUnattainable, match="finite capacity"):
-            witness_two_general(net)
+            witness_two_general(classify(net))
 
     def test_rejects_one_sided_diagrams(self, ga):
         with pytest.raises(GoalUnattainable, match="pair-diagram test fails"):
-            witness_two_general(ga)
+            witness_two_general(classify(ga))
