@@ -31,7 +31,7 @@ from .network import (
     EssentialSets,
     OneDimStructure,
     ReactionNetwork,
-    _essential_reduction,
+    essential_reduction,
     essential_sets,
     one_dim_structure,
     pair_sign_data,
@@ -252,17 +252,6 @@ class TwoReactionReport:
     reason: str
 
 
-def two_nondeg_bi(net: ReactionNetwork, struct: OneDimStructure) -> TwoReactionReport:
-    """Decide whether a bi-reaction network admits two nondegenerate
-    positive steady states on some invariant line (see :func:`nondeg_pair`).
-    """
-    if net.num_reactions != 2:
-        raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
-    if struct.lambda_user()[1] > 0:
-        raise LambdaNotOpposed("both multipliers are positive")
-    return nondeg_pair(*pair_sign_data(net, 0, 1))
-
-
 def nondeg_pair(alphas, gammas) -> TwoReactionReport:
     """Nondegenerate-pair criterion on the sign data of an opposed pair.
 
@@ -288,7 +277,7 @@ class TestReport:
     note: str
 
 
-def necessary_pair_test(net: ReactionNetwork, struct: OneDimStructure, ad: AdReport) -> TestReport:
+def necessary_pair_test(ad: AdReport) -> TestReport:
     """Necessary condition for nondegenerate multistationarity: the signed
     diagram triples must occur with both orientations.
 
@@ -349,7 +338,7 @@ def sufficient_two_test(
     ``satisfied`` also requires the pair-diagram necessary test, which is
     what turns the certificate into a two-state guarantee.
     """
-    necessary = necessary_pair_test(net, struct, ad)
+    necessary = necessary_pair_test(ad)
     for i, j in struct.opposed_pairs():
         if _pair_is_finite(*pair_sign_data(net, i, j)):
             return SufficientCertificate(
@@ -509,7 +498,7 @@ def classify(net: ReactionNetwork) -> Report:
     struct = one_dim_structure(net)
     sets = essential_sets(net, struct)
     ad = ad_count(net, struct)
-    necessary = necessary_pair_test(net, struct, ad)
+    necessary = necessary_pair_test(ad)
     three = necessary_three_test(ad)
     cert = sufficient_two_test(net, struct, ad)
     profile = None
@@ -518,13 +507,13 @@ def classify(net: ReactionNetwork) -> Report:
         profile = bi_profile(net, struct)
         capacity = capacity_class_bi(profile, profile.lambda2)
         if profile.lambda2 < 0:
-            two_report = two_nondeg_bi(net, struct)
+            two_report = nondeg_pair(profile.alphas, profile.gammas)
     else:
         capacity = _multi_reaction_capacity(net, struct, sets, necessary, three, cert)
     reduction = None
     reduced = None
     if sets.eh and len(sets.eh) < net.num_species:
-        reduction = _essential_reduction(net, struct, sets)
+        reduction = essential_reduction(net, struct, sets)
         reduced = classify(reduction.network)
     warnings = structural_warnings(net) + known_issue_warnings(net)
     return Report(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -648,7 +649,9 @@ def _add_io_flags(sub) -> None:
     sub.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crn1d",
         description="Analyze mass-action reaction networks whose stoichiometric "

@@ -509,10 +509,10 @@ def reduce_to_essential(net: ReactionNetwork) -> EssentialReduction:
     positive, a continuum otherwise) and no reduction is meaningful.
     """
     struct = one_dim_structure(net)
-    return _essential_reduction(net, struct, essential_sets(net, struct))
+    return essential_reduction(net, struct, essential_sets(net, struct))
 
 
-def _essential_reduction(net: ReactionNetwork, struct: OneDimStructure, sets: EssentialSets) -> EssentialReduction:
+def essential_reduction(net: ReactionNetwork, struct: OneDimStructure, sets: EssentialSets) -> EssentialReduction:
     """:func:`reduce_to_essential` from the structure and sets already at hand."""
     eh = sorted(sets.eh)
     if not eh:

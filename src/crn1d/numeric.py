@@ -282,7 +282,7 @@ def _derivative_numerator(gp: GProblem) -> list[int]:
     return p
 
 
-def _bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
+def bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
     """A zero of ``f`` on ``[lo, hi]``, where it changes sign.
 
     Bisects on ``f(z)`` (geometrically across orders of magnitude) to a
@@ -338,7 +338,7 @@ def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> fl
             except OutOfDomain:
                 ga = gb = 0.0
             if min(ga, gb) < 0.0 < max(ga, gb):
-                return _bracketed_root(lambda z: eval_g_slope(gp, z), lambda z: eval_g(gp, z)[1:], fa, fb)
+                return bracketed_root(lambda z: eval_g_slope(gp, z), lambda z: eval_g(gp, z)[1:], fa, fb)
         mid = (a + b) / 2
         sign_mid = _sign_at(p, mid)
         if sign_mid == 0:
@@ -469,7 +469,7 @@ def find_roots(gp: GProblem, K) -> RootSet:
             hi = _march_to_sign(gp, K, start, zr, want_positive=vr > K)
         if lo is None or hi is None or not (lo < hi):
             raise CrnError(f"failed to bracket the root of g = {K} in piece ({zl}, {zr})")
-        z = _bracketed_root(level, level_and_slope, lo, hi)
+        z = bracketed_root(level, level_and_slope, lo, hi)
         gz, slope, _ = eval_g(gp, z)
         res = abs(gz - K)
         # Steep pieces (root hugging a pole) cannot beat a few ulps of
@@ -661,6 +661,20 @@ def monomials(net: ReactionNetwork, x) -> list:
     return out
 
 
+def rate_terms(net: ReactionNetwork, lam, kappa, x) -> list:
+    """The terms ``lambda_j * kappa_j * x ** reactant_j`` of the rate balance
+    at ``x``, one per reaction; the balance is their sum."""
+    return [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
+
+
+def rate_term_slopes(net: ReactionNetwork, terms, gammas, x) -> list[float]:
+    """The derivative of each rate term along ``gammas`` at the positive
+    state ``x``: ``t_j * sum_k reactant_jk * gamma_k / x_k``."""
+    return [
+        t * math.fsum(e * gammas[k] / x[k] for k, e in enumerate(rx.reactant)) for t, rx in zip(terms, net.reactions)
+    ]
+
+
 @dataclass(frozen=True)
 class StateCheck:
     """Replay of one claimed steady state."""
@@ -722,10 +736,7 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         if not positive:
             checks.append(StateCheck(tuple(x), False, math.inf, math.inf, False, False))
             continue
-        terms = [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
-        slopes = [
-            math.fsum(rx.reactant[k] * gamma_user[k] / x[k] for k in range(s)) for rx in net.reactions
-        ]
+        terms = rate_terms(net, lam, kappa, x)
         denom = math.fsum(abs(t) for t in terms)
         rate_residual = abs(math.fsum(terms)) / denom if denom > 0 else math.inf
         cons = 0.0
@@ -733,8 +744,9 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
             lhs = ci - cs[i - 1]
             scale = abs(gperm[i] * x[perm[0]]) + abs(gperm[0] * x[perm[i]]) + abs(cs[i - 1]) + 1e-300
             cons = max(cons, abs(lhs) / scale)
-        dh = math.fsum(t * sl for t, sl in zip(terms, slopes))
-        dh_scale = math.fsum(abs(t) * abs(sl) for t, sl in zip(terms, slopes)) + 1e-300
+        slopes = rate_term_slopes(net, terms, gamma_user, x)
+        dh = math.fsum(slopes)
+        dh_scale = math.fsum(abs(v) for v in slopes) + 1e-300
         nondeg = abs(dh) / dh_scale > 1e-8
         ok = positive and rate_residual <= tol and cons <= tol
         checks.append(StateCheck(tuple(x), positive, rate_residual, cons, nondeg, ok))

@@ -20,10 +20,12 @@ concentrated limits, then rescales, and finally polishes two rates exactly
 by solving a rational 2x2 system.
 
 Both ``witness_three`` and the pair lift solve on the line of one opposed
-pair through the same step, ``_pair_line``.  Every returned witness has
-been replayed through the verifier at 1e-9; where ``nondegenerate`` is
-set, its flags are the verifier's (the endpoint construction leaves it
-``None``).
+pair through the same step, ``_pair_line``.  The recipes read their sign
+classes from :func:`~crn1d.classify.sign_profile` of the sign-flipped data,
+and every rate term comes from :func:`~crn1d.numeric.rate_terms`.  Every
+returned witness has been replayed through the verifier at 1e-9; where
+``nondegenerate`` is set, its flags are the verifier's (the endpoint
+construction leaves it ``None``).
 """
 
 from __future__ import annotations
@@ -42,17 +44,20 @@ from .classify import (
     Report,
     capacity_class_bi,
     nondeg_pair,
+    sign_profile,
 )
 from .network import CrnError, OneDimStructure, ReactionNetwork, conservation_constants, pair_sign_data
 from .numeric import (
     GProblem,
     NumericOverflow,
-    _bracketed_root,
+    bracketed_root,
     critical_points,
     eval_g,
     eval_g_value,
     find_roots,
     monomials,
+    rate_term_slopes,
+    rate_terms,
     verify_witness,
 )
 
@@ -104,56 +109,38 @@ class Witness:
 # ---------------------------------------------------------------------------
 # Offset recipes for three states.
 
-_ALPHA_NEG = {1: 4, 4: 1, 2: 3, 3: 2, 5: 5}
-_GAMMA_NEG = {1: 3, 3: 1, 2: 4, 4: 2, 5: 5}
+def _recipe_transform(profile: BiReactionProfile) -> BiReactionProfile:
+    """The profile with alpha, gamma or both negated onto a canonical recipe.
 
-
-def _class_index(name: str) -> int:
-    return int(name[1])
-
-
-def _effective(cls: int, neg_alpha: bool, neg_gamma: bool) -> int:
-    if neg_alpha:
-        cls = _ALPHA_NEG[cls]
-    if neg_gamma:
-        cls = _GAMMA_NEG[cls]
-    return cls
-
-
-def _recipe_transform(profile: BiReactionProfile) -> tuple[bool, bool]:
-    """Sign changes mapping the populated classes onto the canonical recipes.
-
-    Negating alpha turns g into -g, negating gamma mirrors z; both preserve
-    the root structure, so a recipe worked out for the canonical orientation
-    serves the original profile with adjusted target curvature.
+    Negating alpha turns g into -g, negating gamma mirrors z; for the same
+    offsets both preserve the root structure, so offsets the recipe finds
+    for the oriented profile serve the original one.  Negating alpha swaps
+    S1 with S4 and S2 with S3; negating gamma swaps S1 with S3 and S2 with S4.
     """
     populated = frozenset(profile.nonempty())
     s1, s2, s3, s4 = profile.sums
     m1, m2, m3, m4 = profile.mins
     if len(populated) == 2:
-        na, ng = (False, False) if populated == frozenset({1, 4}) else (False, True)
-        eff_sum = {1: 0, 4: 0}
-        for k, cls in enumerate(profile.classes):
-            c = _class_index(cls)
-            if c != 5:
-                eff_sum[_effective(c, na, ng)] += abs(profile.alphas[k])
-        if eff_sum[1] > eff_sum[4]:
-            na = not na
-        return na, ng
-    if len(populated) == 3:
-        return {
+        ng = populated != frozenset({1, 4})
+        na = s3 > s2 if ng else s1 > s4
+    elif len(populated) == 3:
+        na, ng = {
             frozenset({1, 2, 4}): (False, False),
             frozenset({1, 3, 4}): (True, False),
             frozenset({2, 3, 4}): (False, True),
             frozenset({1, 2, 3}): (True, True),
         }[populated]
-    if s4 > m1:
-        return False, False
-    if s1 > m4:
-        return True, False
-    if s3 > m2:
-        return True, True
-    return False, True
+    elif s4 > m1:
+        na, ng = False, False
+    elif s1 > m4:
+        na, ng = True, False
+    elif s3 > m2:
+        na, ng = True, True
+    else:
+        na, ng = False, True
+    alphas = tuple(-a for a in profile.alphas) if na else profile.alphas
+    gammas = tuple(-g for g in profile.gammas) if ng else profile.gammas
+    return sign_profile(alphas, gammas, profile.lambda2)
 
 
 def _exact_g1_at_zero(profile: BiReactionProfile, weights: dict[int, Fraction]) -> Fraction:
@@ -206,19 +193,14 @@ def choose_d_three(profile: BiReactionProfile):
     if cap.tag != CAP_AT_LEAST_THREE:
         raise GoalUnattainable(f"three steady states need capacity class "
                                f"{CAP_AT_LEAST_THREE}, got {cap.tag}")
-    na, ng = _recipe_transform(profile)
-    absa = [abs(a) for a in profile.alphas]
-    eff: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}
-    for k, cls in enumerate(profile.classes):
-        c = _class_index(cls)
-        if c != 5:
-            eff[_effective(c, na, ng)].append(k)
+    oriented = _recipe_transform(profile)
+    absa = [abs(a) for a in oriented.alphas]
+    s1e, s2e, s3e, s4e = (sorted(k - 1 for k in ks) for ks in oriented.sets[:4])
+    sum1, _sum2, _sum3, sum4 = oriented.sums
     one = Fraction(1)
-    if not eff[2] and not eff[3]:
-        s1e, s4e = eff[1], eff[4]
+    if not s2e and not s3e:
         pivot = min(s4e, key=lambda k: (absa[k], k))
         rest4 = [k for k in s4e if k != pivot]
-        sum1 = sum(absa[k] for k in s1e)
 
         def pair_weights(eps):
             weights = {k: one for k in s1e}
@@ -226,23 +208,21 @@ def choose_d_three(profile: BiReactionProfile):
             weights.update({k: eps for k in rest4})
             return weights
 
-        return _curved_offsets(profile, 1 if not na else -1, "pair", pair_weights)
-    s1e, s2e, s3e, s4e = eff[1], eff[2], eff[3], eff[4]
+        return _curved_offsets(oriented, 1, "pair", pair_weights)
     pivot = min(s1e, key=lambda k: (absa[k], k))
     spread = [k for k in s1e + s2e if k != pivot]
-    den4 = sum(absa[k] for k in s4e)
 
     def spread_weights(eps1):
         eps2 = eps1 / 2
         y = (absa[pivot] * one + sum(absa[k] for k in spread) * eps1
-             - sum(absa[k] for k in s3e) * eps2) / den4
+             - sum(absa[k] for k in s3e) * eps2) / sum4
         weights = {pivot: one}
         weights.update({k: eps1 for k in spread})
         weights.update({k: eps2 for k in s3e})
         weights.update({k: y for k in s4e})
         return weights
 
-    return _curved_offsets(profile, -1 if not na else 1, "spread", spread_weights)
+    return _curved_offsets(oriented, -1, "spread", spread_weights)
 
 
 def _level_ladder(g0: float, side: float):
@@ -402,20 +382,6 @@ def _balanced_pair_weights(alphas, gammas):
     return None, 0
 
 
-def _rate_terms(net: ReactionNetwork, lam, kappa, x) -> list[float]:
-    """The terms of the rate balance at ``x``, one per reaction."""
-    return [lam[j] * kappa[j] * mono for j, mono in enumerate(monomials(net, x))]
-
-
-def _balance(net: ReactionNetwork, lam, kappa, gammas, x) -> tuple[float, float]:
-    """The rate balance at ``x`` and its derivative along ``gammas``."""
-    terms = _rate_terms(net, lam, kappa, x)
-    slopes = [
-        t * sum(e * gammas[k] / x[k] for k, e in enumerate(rx.reactant) if e) for t, rx in zip(terms, net.reactions)
-    ]
-    return math.fsum(terms), math.fsum(slopes)
-
-
 def _straddle(roots):
     """The roots nearest the origin on each side, or ``None`` if a side is empty."""
     lows = [r for r in roots if r < 0]
@@ -471,10 +437,12 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
             return [g * zz + dv for g, dv in zip(gammas, d_float)]
 
         def balance(zz):
-            return math.fsum(_rate_terms(net, lam, kappa, state(zz)))
+            return math.fsum(rate_terms(net, lam, kappa, state(zz)))
 
         def balance_and_slope(zz):
-            return _balance(net, lam, kappa, gammas, state(zz))
+            x = state(zz)
+            terms = rate_terms(net, lam, kappa, x)
+            return math.fsum(terms), math.fsum(rate_term_slopes(net, terms, gammas, x))
 
         polished = []
         ok = True
@@ -489,7 +457,7 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
             if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
                 ok = False
                 break
-            z = _bracketed_root(balance, balance_and_slope, zr - h, zr + h)
+            z = bracketed_root(balance, balance_and_slope, zr - h, zr + h)
             polished.append(z)
         if ok and abs(polished[1] - polished[0]) > 1e-9 * (1 + abs(polished[1])):
             witness = Witness(
@@ -553,20 +521,17 @@ def _endpoint_points(net: ReactionNetwork, struct: OneDimStructure, k3: int, fli
     return tuple(y), tuple(z)
 
 
+def _up_down(net: ReactionNetwork, lam, kappa, x) -> tuple[float, float]:
+    """The sums of the rate terms at ``x`` with lambda > 0 and of the negated ones with lambda < 0."""
+    terms = list(zip(rate_terms(net, lam, kappa, [float(v) for v in x]), lam))
+    return math.fsum(t for t, lj in terms if lj > 0), math.fsum(-t for t, lj in terms if lj < 0)
+
+
 def _log_ratio_gap(net: ReactionNetwork, lam, kappa, y, z) -> float:
     """ln of the up/down rate ratio at y minus the same at z."""
-    up_y, down_y, up_z, down_z = [], [], [], []
-    monos_y = monomials(net, [float(v) for v in y])
-    monos_z = monomials(net, [float(v) for v in z])
-    for j, (mono_y, mono_z) in enumerate(zip(monos_y, monos_z)):
-        if lam[j] > 0:
-            up_y.append(lam[j] * kappa[j] * mono_y)
-            up_z.append(lam[j] * kappa[j] * mono_z)
-        else:
-            down_y.append(-lam[j] * kappa[j] * mono_y)
-            down_z.append(-lam[j] * kappa[j] * mono_z)
-    return (math.log(math.fsum(up_y)) - math.log(math.fsum(down_y))
-            - math.log(math.fsum(up_z)) + math.log(math.fsum(down_z)))
+    up_y, down_y = _up_down(net, lam, kappa, y)
+    up_z, down_z = _up_down(net, lam, kappa, z)
+    return math.log(up_y) - math.log(down_y) - math.log(up_z) + math.log(down_z)
 
 
 def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdReport) -> Witness:
@@ -639,14 +604,14 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
             break
     if kappa is None or abs(_log_ratio_gap(net, lam, kappa, y, z)) > 1e-6:
         raise BisectionStalled("ratio-matching bisection left a visible gap")
-    mono_z_float = monomials(net, [float(v) for v in z])
-    up = math.fsum(lam[j] * kappa[j] * mono_z_float[j] for j in range(m) if lam[j] > 0)
-    down = math.fsum(-lam[j] * kappa[j] * mono_z_float[j] for j in range(m) if lam[j] < 0)
+    up, down = _up_down(net, lam, kappa, z)
     kappa = [kappa[j] / up if lam[j] > 0 else kappa[j] / down for j in range(m)]
 
     mono_y = monomials(net, y)
     mono_z = monomials(net, z)
     kf = [Fraction(v) for v in kappa]
+    terms_y = rate_terms(net, lam_exact, kf, y)
+    terms_z = rate_terms(net, lam_exact, kf, z)
     positives = sorted((j for j in range(m) if lam[j] > 0), key=lambda j: -kappa[j])
     negatives = sorted((j for j in range(m) if lam[j] < 0), key=lambda j: -kappa[j])
     exact = None
@@ -663,8 +628,8 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
             det = a11 * a22 - a12 * a21
             if det == 0:
                 continue
-            r1 = -sum(lam_exact[j] * kf[j] * mono_y[j] for j in range(m) if j not in (i_star, j_star))
-            r2 = -sum(lam_exact[j] * kf[j] * mono_z[j] for j in range(m) if j not in (i_star, j_star))
+            r1 = -sum(t for j, t in enumerate(terms_y) if j not in (i_star, j_star))
+            r2 = -sum(t for j, t in enumerate(terms_z) if j not in (i_star, j_star))
             ka = (r1 * a22 - a12 * r2) / det
             kb = (a11 * r2 - r1 * a21) / det
             if ka > 0 and kb > 0:

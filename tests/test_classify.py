@@ -15,7 +15,6 @@ from crn1d import (
     one_dim_structure,
     parse_network,
     sufficient_two_test,
-    two_nondeg_bi,
 )
 from crn1d.classify import NotBiReaction, known_issue_warnings, structural_warnings
 
@@ -165,19 +164,19 @@ class TestCapacityLadder:
 
 class TestTwoReaction:
     def test_one_sided_products(self, ga):
-        rep = two_nondeg_bi(ga, one_dim_structure(ga))
+        rep = classify(ga).two_reaction
         assert not rep.nondegenerate_multistationary
         assert rep.products == (1, 1)
 
     def test_exact_cancellation(self):
         net = parse_network("2 X1 -> 3 X1 + X2\nX1 + X2 -> 0")
-        rep = two_nondeg_bi(net, one_dim_structure(net))
+        rep = classify(net).two_reaction
         assert not rep.nondegenerate_multistationary
         assert "cancel" in rep.reason
 
     def test_both_signs(self):
         net = parse_network("2 X1 -> 3 X1 + X2\nX1 + 2 X2 -> X2")
-        rep = two_nondeg_bi(net, one_dim_structure(net))
+        rep = classify(net).two_reaction
         assert rep.nondegenerate_multistationary
         assert rep.products == (1, -2)
 
@@ -186,12 +185,12 @@ class TestNecessaryAndSufficient:
     def test_pair_needs_both_orientations(self, ga):
         struct = one_dim_structure(ga)
         ad = ad_count(ga, struct)
-        assert not necessary_pair_test(ga, struct, ad).passes
+        assert not necessary_pair_test(ad).passes
 
     def test_pair_passes(self, gb):
         struct = one_dim_structure(gb)
         ad = ad_count(gb, struct)
-        assert necessary_pair_test(gb, struct, ad).passes
+        assert necessary_pair_test(ad).passes
 
     def test_three_needs_three_diagrams(self, ga, ad_example):
         for net, expect in ((ga, False), (ad_example, True)):

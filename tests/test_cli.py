@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: documents, exit codes, files, enumeration."""
 
+import ast
 import contextlib
 import io
 import json
@@ -355,6 +356,26 @@ class TestExitCodes:
             main(["enumerate", "--species", "9", "--max-coeff", "2"])
         assert exc.value.code == 2
 
+    def test_one_parser_serves_every_command(self, capsys):
+        """A usage error, then classify, then witness through the parser the
+        process already built give the bytes of a first call each."""
+        argvs = (["frobnicate"], ["classify", crn("gb")], ["witness", "--goal", "three", crn("gb")])
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        first = []
+        for argv in argvs:
+            crn1d.cli._build_parser.cache_clear()
+            first.append(outcome(argv))
+        assert [outcome(argv) for argv in argvs] == first
+        assert [code for code, _out, _err in first] == [2, 0, 0]
+        assert crn1d.cli._build_parser.cache_info().hits == 3
+
 
 def steep_pair(scale: int) -> str:
     """A nondegenerate opposed pair whose rates overflow binary64 on its line."""
@@ -591,3 +612,13 @@ def test_module_form_runs_the_cli():
     done = _run_python("-m", "crn1d", "classify", crn("gb"))
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["command"] == "classify"
+
+
+def test_no_module_imports_a_private_name():
+    """Each module uses only the public names of the others."""
+    found = []
+    for path in sorted(Path(crn1d.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("crn1d")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []

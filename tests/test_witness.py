@@ -19,6 +19,7 @@ from crn1d import (
     find_roots,
     one_dim_structure,
     parse_network,
+    sign_profile,
     verify_witness,
     witness_three,
     witness_two_general,
@@ -53,6 +54,34 @@ class TestChooseD:
         g0, g1, g2 = eval_g(gp, 0.0)
         assert g1 == pytest.approx(0.0, abs=1e-14)
         assert g2 != 0.0
+
+    @pytest.mark.parametrize(
+        "alphas, gammas, offsets",
+        [
+            pytest.param((2, -1, -1, -1, 0), (3, 1, 2, 1, 2), ("3", "8/15", "32", "16", "2"), id="S1S4"),
+            pytest.param((1, 1, 1, -2, 1), (1, 2, 1, 3, 0), ("8/15", "32", "16", "3", "1"), id="S1S4-flip"),
+            pytest.param((2, -1, -1, -1), (-1, -2, -1, -3), ("1", "16/15", "16", "48"), id="S2S3"),
+            pytest.param((1, 1, 1, -2), (-2, -1, -1, -1), ("16/15", "16", "16", "1"), id="S2S3-flip"),
+            pytest.param((1, -1, -2, 0), (2, -1, 1, 1), ("2", "16", "32/17", "1"), id="S1S2S4"),
+            pytest.param((2, 1, -1), (1, -3, 2), ("32/17", "48", "2"), id="S1S3S4"),
+            pytest.param((-2, 1, -1), (-1, -2, 1), ("32/17", "2", "16"), id="S2S3S4"),
+            pytest.param((1, -1, 2), (1, -1, -2), ("16", "1", "64/17"), id="S1S2S3"),
+            pytest.param((1, -1, 1, -2), (1, -1, -1, 1), ("1", "16", "32", "64/33"), id="all-s4>m1"),
+            pytest.param((2, -1, 1, -1), (1, -2, -1, 1), ("64/33", "64", "16", "1"), id="all-s1>m4"),
+            pytest.param((1, -1, 2, -1, 0), (1, -1, -1, 2, 1), ("16", "1", "64/33", "64", "1"), id="all-s3>m2"),
+            pytest.param((1, -2, 1, -1), (2, -1, -1, 1), ("64", "64/33", "1", "16"), id="all-s2>m3"),
+        ],
+    )
+    def test_every_orientation_branch(self, alphas, gammas, offsets):
+        """Exact offsets for one hand-built profile per orientation branch.
+
+        Cases are named by the populated classes and, for two classes, by
+        whether alpha is negated ("flip"), for four, by the first comparison
+        that fires.  Each is finite-at-least-three at lambda2 = -1.  Equal
+        totals in a two-class profile are the co-located-poles continuum, so
+        each two-class branch has just these two sides.
+        """
+        assert choose_d_three(sign_profile(alphas, gammas, -1)) == tuple(map(Fraction, offsets))
 
     def test_g_problem_length_check(self, gb):
         with pytest.raises(ValueError):
