@@ -127,13 +127,17 @@ class CapacityClass:
     """Outcome of the capacity ladder with its audit trail.
 
     ``rule`` is a stable identifier of the branch that decided the class;
-    ``inequalities`` shows the instantiated comparisons that fired.
+    ``inequalities`` shows the instantiated comparisons that fired.  On
+    finite-at-least-three, ``classes`` is the pair ``(k, l)`` the ladder
+    fired, "the S_l total beats the S_k minimum" (the offset recipes are
+    oriented by it); it is ``None`` on every other outcome.
     """
 
     tag: str
     rule: str
     detail: str
     inequalities: tuple[str, ...] = ()
+    classes: tuple[int, int] | None = None
 
 
 # Three populated classes determine which total is compared against which
@@ -146,29 +150,27 @@ _TRIPLE_RULE = {
 }
 
 
-def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
+def capacity_class_bi(profile: BiReactionProfile) -> CapacityClass:
     """Decide the steady-state capacity of a bi-reaction profile.
 
     The ladder order matters: the sign gate and the flatness gate come
     first because the populated-class rules presuppose a finite count.
     """
-    lambda2 = Fraction(lambda2)
-    if lambda2 > 0:
+    if profile.lambda2 > 0:
         return CapacityClass(
             tag=CAP_ZERO,
             rule="lambda-same-sign",
             detail="both reactions move along the base direction, so the rate "
             "balance is a sum of positive terms with no positive root",
         )
-    s1, s2, s3, s4 = profile.sums
-    if s1 == s4 and s2 == s3:
+    sums, mins = profile.sums, profile.mins
+    if sums[0] == sums[3] and sums[1] == sums[2]:
         return CapacityClass(
             tag=CAP_INFINITE,
             rule="co-located-poles",
             detail="offsets proportional to the slopes make the scalar balance "
             "constant on its whole interval, so tuned rates yield a continuum",
         )
-    mins = profile.mins
     populated = profile.nonempty()
     if len(populated) == 1:
         return CapacityClass(
@@ -178,20 +180,16 @@ def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
             "at most one interior extremum",
         )
     if len(populated) == 2:
-        pair = frozenset(populated)
-        if pair == frozenset({1, 4}):
-            k, l = 1, 4
-        elif pair == frozenset({2, 3}):
-            k, l = 2, 3
-        else:
+        k, l = populated
+        if populated not in ((1, 4), (2, 3)):
             return CapacityClass(
                 tag=CAP_AT_MOST_TWO,
                 rule="case-b",
-                detail=f"classes S{populated[0]} and S{populated[1]} do not "
+                detail=f"classes S{k} and S{l} do not "
                 "alternate in both sign sequences; at most one interior extremum",
             )
-        lhs1, rhs1 = profile.sums[k - 1], mins[l - 1]
-        lhs2, rhs2 = profile.sums[l - 1], mins[k - 1]
+        lhs1, rhs1 = sums[k - 1], mins[l - 1]
+        lhs2, rhs2 = sums[l - 1], mins[k - 1]
         if lhs1 > rhs1 and lhs2 > rhs2:
             return CapacityClass(
                 tag=CAP_AT_LEAST_THREE,
@@ -199,6 +197,7 @@ def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
                 detail=f"S{k} and S{l} populated and each total beats the "
                 "opposite minimum",
                 inequalities=(f"{lhs1} > {rhs1}", f"{lhs2} > {rhs2}"),
+                classes=(k, l) if lhs2 > lhs1 else (l, k),
             )
         failed = f"{lhs1} > {rhs1}" if not (lhs1 > rhs1) else f"{lhs2} > {rhs2}"
         return CapacityClass(
@@ -208,7 +207,7 @@ def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
         )
     if len(populated) == 3:
         k, l = _TRIPLE_RULE[frozenset(populated)]
-        lhs, rhs = profile.sums[l - 1], mins[k - 1]
+        lhs, rhs = sums[l - 1], mins[k - 1]
         if lhs > rhs:
             return CapacityClass(
                 tag=CAP_AT_LEAST_THREE,
@@ -216,25 +215,22 @@ def capacity_class_bi(profile: BiReactionProfile, lambda2) -> CapacityClass:
                 detail=f"classes S{populated[0]}, S{populated[1]}, S{populated[2]} "
                 f"populated and the S{l} total beats the S{k} minimum",
                 inequalities=(f"{lhs} > {rhs}",),
+                classes=(k, l),
             )
         return CapacityClass(
             tag=CAP_AT_MOST_TWO,
             rule="case-c",
             detail=f"three classes populated but {lhs} > {rhs} fails",
         )
-    conditions = (
-        (s4, mins[0], "S4 total vs S1 minimum"),
-        (s1, mins[3], "S1 total vs S4 minimum"),
-        (s3, mins[1], "S3 total vs S2 minimum"),
-        (s2, mins[2], "S2 total vs S3 minimum"),
-    )
-    holding = [(lhs, rhs, label) for lhs, rhs, label in conditions if lhs > rhs]
+    holding = [(k, l) for k, l in ((1, 4), (4, 1), (2, 3), (3, 2)) if sums[l - 1] > mins[k - 1]]
     if holding:
+        k, l = holding[0]
         return CapacityClass(
             tag=CAP_AT_LEAST_THREE,
             rule="case-d",
-            detail=f"all four classes populated; {holding[0][2]} fires",
-            inequalities=tuple(f"{lhs} > {rhs}" for lhs, rhs, _ in holding),
+            detail=f"all four classes populated; S{l} total vs S{k} minimum fires",
+            inequalities=tuple(f"{sums[l - 1]} > {mins[k - 1]}" for k, l in holding),
+            classes=(k, l),
         )
     return CapacityClass(
         tag=CAP_AT_MOST_TWO,
@@ -330,15 +326,15 @@ def _pair_is_finite(alphas, gammas) -> bool:
 
 
 def sufficient_two_test(
-    net: ReactionNetwork, struct: OneDimStructure, ad: AdReport
+    net: ReactionNetwork, struct: OneDimStructure, necessary: TestReport
 ) -> SufficientCertificate | None:
     """Find an opposed pair with positive finite capacity, if any.
 
     Scans pairs in permuted lexicographic order and returns the first hit;
-    ``satisfied`` also requires the pair-diagram necessary test, which is
-    what turns the certificate into a two-state guarantee.
+    ``satisfied`` also requires ``necessary``, the pair-diagram test of
+    :func:`necessary_pair_test`, which is what turns the certificate into a
+    two-state guarantee.
     """
-    necessary = necessary_pair_test(ad)
     for i, j in struct.opposed_pairs():
         if _pair_is_finite(*pair_sign_data(net, i, j)):
             return SufficientCertificate(
@@ -500,12 +496,12 @@ def classify(net: ReactionNetwork) -> Report:
     ad = ad_count(net, struct)
     necessary = necessary_pair_test(ad)
     three = necessary_three_test(ad)
-    cert = sufficient_two_test(net, struct, ad)
+    cert = sufficient_two_test(net, struct, necessary)
     profile = None
     two_report = None
     if net.num_reactions == 2:
         profile = bi_profile(net, struct)
-        capacity = capacity_class_bi(profile, profile.lambda2)
+        capacity = capacity_class_bi(profile)
         if profile.lambda2 < 0:
             two_report = nondeg_pair(profile.alphas, profile.gammas)
     else:

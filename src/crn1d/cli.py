@@ -583,7 +583,7 @@ def _cell_records(cell) -> list[tuple[str, str]]:
         fields = derived.get(alphas)
         if fields is None:
             profile = sign_profile(alphas, gammas, lambda2)
-            capacity = capacity_class_bi(profile, lambda2)
+            capacity = capacity_class_bi(profile)
             ad = sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0
             fields = derived[alphas] = (capacity.tag, capacity.rule, ad)
         tag, rule, ad = fields

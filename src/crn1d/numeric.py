@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .network import CrnError, ReactionNetwork, conservation_constants, one_dim_structure
 
@@ -614,27 +614,6 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
             count += 1
         last = r
     return count
-
-
-def oracle_counts(gp: GProblem, Ks: Sequence[float], samples: int = 4001) -> list[int]:
-    """Sign-change counts for many levels on one shared grid (screening only).
-
-    No refinement or deduplication: answers can overcount very close roots,
-    so callers re-check interesting hits with :func:`oracle_count`.
-    """
-    import numpy as np
-
-    if is_constant(gp):
-        raise ConstantG("every pole group of g' has zero residue")
-    arrays = _oracle_arrays(gp)
-    zs = _oracle_grid(gp, arrays, float(max((abs(float(k)) for k in Ks), default=1.0)), samples)
-    _z, vals = _oracle_g(arrays, zs)
-    out = []
-    for K in Ks:
-        f = vals - float(K)
-        n = int(np.count_nonzero(f[:-1] * f[1:] < 0.0)) + int(np.count_nonzero(f == 0.0))
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

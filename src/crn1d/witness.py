@@ -20,9 +20,9 @@ concentrated limits, then rescales, and finally polishes two rates exactly
 by solving a rational 2x2 system.
 
 Both ``witness_three`` and the pair lift solve on the line of one opposed
-pair through the same step, ``_pair_line``.  The recipes read their sign
-classes from :func:`~crn1d.classify.sign_profile` of the sign-flipped data,
-and every rate term comes from :func:`~crn1d.numeric.rate_terms`.  Every
+pair through the same step, ``_pair_line``.  The recipes take their sign
+classes in the roles set by the class pair the capacity ladder fired, and
+every rate term comes from :func:`~crn1d.numeric.rate_terms`.  Every
 returned witness has been replayed through the verifier at 1e-9; where
 ``nondegenerate`` is set, its flags are the verifier's (the endpoint
 construction leaves it ``None``).
@@ -44,7 +44,6 @@ from .classify import (
     Report,
     capacity_class_bi,
     nondeg_pair,
-    sign_profile,
 )
 from .network import CrnError, OneDimStructure, ReactionNetwork, conservation_constants, pair_sign_data
 from .numeric import (
@@ -109,38 +108,18 @@ class Witness:
 # ---------------------------------------------------------------------------
 # Offset recipes for three states.
 
-def _recipe_transform(profile: BiReactionProfile) -> BiReactionProfile:
-    """The profile with alpha, gamma or both negated onto a canonical recipe.
-
-    Negating alpha turns g into -g, negating gamma mirrors z; for the same
-    offsets both preserve the root structure, so offsets the recipe finds
-    for the oriented profile serve the original one.  Negating alpha swaps
-    S1 with S4 and S2 with S3; negating gamma swaps S1 with S3 and S2 with S4.
-    """
-    populated = frozenset(profile.nonempty())
-    s1, s2, s3, s4 = profile.sums
-    m1, m2, m3, m4 = profile.mins
-    if len(populated) == 2:
-        ng = populated != frozenset({1, 4})
-        na = s3 > s2 if ng else s1 > s4
-    elif len(populated) == 3:
-        na, ng = {
-            frozenset({1, 2, 4}): (False, False),
-            frozenset({1, 3, 4}): (True, False),
-            frozenset({2, 3, 4}): (False, True),
-            frozenset({1, 2, 3}): (True, True),
-        }[populated]
-    elif s4 > m1:
-        na, ng = False, False
-    elif s1 > m4:
-        na, ng = True, False
-    elif s3 > m2:
-        na, ng = True, True
-    else:
-        na, ng = False, True
-    alphas = tuple(-a for a in profile.alphas) if na else profile.alphas
-    gammas = tuple(-g for g in profile.gammas) if ng else profile.gammas
-    return sign_profile(alphas, gammas, profile.lambda2)
+# For each class pair (k, l) the capacity ladder fires: which classes of the
+# profile play S1..S4 of the recipes, and the sign multiplying the curvature
+# target.  The recipes are written for (1, 4).  Negating alpha maps g to -g
+# and swaps S1 with S4 and S2 with S3, giving (4, 1); negating gamma mirrors
+# z and swaps S1 with S3 and S2 with S4, giving (3, 2); both give (2, 3).
+# Offsets read only |alpha| and |gamma|, so they serve the original profile.
+_RECIPE_ROLES = {
+    (1, 4): ((1, 2, 3, 4), 1),
+    (4, 1): ((4, 3, 2, 1), -1),
+    (3, 2): ((3, 4, 1, 2), 1),
+    (2, 3): ((2, 1, 4, 3), -1),
+}
 
 
 def _exact_g1_at_zero(profile: BiReactionProfile, weights: dict[int, Fraction]) -> Fraction:
@@ -185,18 +164,19 @@ def choose_d_three(profile: BiReactionProfile):
     """Exact offsets putting a correctly-curved critical point at the origin.
 
     Requires the finite-at-least-three capacity class.  The weights (the
-    values ``|gamma_k| / d_k``) follow the populated-class recipe after
-    normalizing the orientation; the epsilon is halved until the exact
-    curvature check passes.
+    values ``|gamma_k| / d_k``) follow the populated-class recipe.  For the
+    class pair the ladder fired (``cap.classes``), ``_RECIPE_ROLES`` names
+    the classes that play S1..S4 and the sign of the curvature target; the
+    epsilon is halved until the exact curvature check passes.
     """
-    cap = capacity_class_bi(profile, profile.lambda2)
+    cap = capacity_class_bi(profile)
     if cap.tag != CAP_AT_LEAST_THREE:
         raise GoalUnattainable(f"three steady states need capacity class "
                                f"{CAP_AT_LEAST_THREE}, got {cap.tag}")
-    oriented = _recipe_transform(profile)
-    absa = [abs(a) for a in oriented.alphas]
-    s1e, s2e, s3e, s4e = (sorted(k - 1 for k in ks) for ks in oriented.sets[:4])
-    sum1, _sum2, _sum3, sum4 = oriented.sums
+    roles, sign = _RECIPE_ROLES[cap.classes]
+    absa = [abs(a) for a in profile.alphas]
+    s1e, s2e, s3e, s4e = (sorted(k - 1 for k in profile.sets[c - 1]) for c in roles)
+    sum1, sum4 = profile.sums[roles[0] - 1], profile.sums[roles[3] - 1]
     one = Fraction(1)
     if not s2e and not s3e:
         pivot = min(s4e, key=lambda k: (absa[k], k))
@@ -208,7 +188,7 @@ def choose_d_three(profile: BiReactionProfile):
             weights.update({k: eps for k in rest4})
             return weights
 
-        return _curved_offsets(oriented, 1, "pair", pair_weights)
+        return _curved_offsets(profile, sign, "pair", pair_weights)
     pivot = min(s1e, key=lambda k: (absa[k], k))
     spread = [k for k in s1e + s2e if k != pivot]
 
@@ -222,7 +202,7 @@ def choose_d_three(profile: BiReactionProfile):
         weights.update({k: y for k in s4e})
         return weights
 
-    return _curved_offsets(oriented, -1, "spread", spread_weights)
+    return _curved_offsets(profile, -sign, "spread", spread_weights)
 
 
 def _level_ladder(g0: float, side: float):

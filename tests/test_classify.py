@@ -25,13 +25,11 @@ def profile_of(net):
 
 def certificate_of(net):
     struct = one_dim_structure(net)
-    return sufficient_two_test(net, struct, ad_count(net, struct))
+    return sufficient_two_test(net, struct, necessary_pair_test(ad_count(net, struct)))
 
 
 def capacity_of(net):
-    struct = one_dim_structure(net)
-    prof = bi_profile(net, struct)
-    return capacity_class_bi(prof, struct.lambda_user()[1])
+    return capacity_class_bi(profile_of(net))
 
 
 class TestBiProfile:

@@ -19,7 +19,6 @@ from crn1d import (
     find_roots,
     is_constant,
     oracle_count,
-    oracle_counts,
     parse_network,
     verify_witness,
 )
@@ -184,11 +183,6 @@ class TestOracle:
         assert oracle_count(GB_LIKE, g0 + 1.0) == 1
         gp = GProblem((1, 1), (1, -1), (1, 1))
         assert oracle_count(gp, -math.log(2.0)) == 2
-
-    def test_screening_grid(self):
-        g0 = eval_g(GB_LIKE, 0.0)[0]
-        K = 0.5 * (g0 + eval_g(GB_LIKE, 13.0)[0])
-        assert oracle_counts(GB_LIKE, [K, g0 + 1.0, g0 - 5.0]) == [3, 1, 1]
 
 
 class TestVerifyWitness:

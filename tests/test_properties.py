@@ -43,6 +43,13 @@ from support import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# (alphas, gammas) of one to six species, entries in -4..4
+sign_data = st.integers(min_value=1, max_value=6).flatmap(
+    lambda s: st.tuples(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
+    )
+)
 
 
 def seeded_net(seed: int):
@@ -116,7 +123,7 @@ class TestCapacity:
         net = seeded_net(seed)
         struct = one_dim_structure(net)
         prof = bi_profile(net, struct)
-        cap = capacity_class_bi(prof, prof.lambda2)
+        cap = capacity_class_bi(prof)
         assert cap.tag != "unknown"
         assert (cap.tag == "zero") == (prof.lambda2 > 0)
         if prof.lambda2 < 0:
@@ -150,6 +157,19 @@ class TestCapacity:
         if rep.reduced is not None:
             assert rep.reduced.capacity.tag == rep.capacity.tag
 
+    @given(sign_data)
+    def test_fired_class_pair(self, data):
+        # at least three states: the pair (k, l) is populated and the S_l
+        # total beats the S_k minimum; no pair on any other outcome
+        prof = sign_profile(*data, -1)
+        cap = capacity_class_bi(prof)
+        if cap.tag == "finite-at-least-three":
+            k, l = cap.classes
+            assert prof.sets[k - 1] and prof.sets[l - 1]
+            assert prof.sums[l - 1] > prof.mins[k - 1]
+        else:
+            assert cap.classes is None
+
 
 class TestSignProfile:
     # restated from the definition: S1 (+,+), S2 (-,-), S3 (+,-), S4 (-,+)
@@ -159,15 +179,7 @@ class TestSignProfile:
         signs = ((alpha > 0) - (alpha < 0), (gamma > 0) - (gamma < 0))
         return {(1, 1): "S1", (-1, -1): "S2", (1, -1): "S3", (-1, 1): "S4"}.get(signs, "S5")
 
-    @given(
-        st.integers(min_value=1, max_value=6).flatmap(
-            lambda s: st.tuples(
-                st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
-                st.lists(st.integers(min_value=-4, max_value=4), min_size=s, max_size=s),
-            )
-        ),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    )
+    @given(sign_data, st.fractions(min_value=-4, max_value=4, max_denominator=6))
     def test_matches_restatement(self, data, lambda2):
         alphas, gammas = data
         prof = sign_profile(alphas, gammas, lambda2)
@@ -330,7 +342,7 @@ class TestRecipes:
             net = random_bi_network(rng, max_species=5, max_coeff=5)
             struct = one_dim_structure(net)
             prof = bi_profile(net, struct)
-            cap = capacity_class_bi(prof, prof.lambda2)
+            cap = capacity_class_bi(prof)
             if cap.tag != "finite-at-least-three":
                 continue
             found += 1
