@@ -73,8 +73,8 @@ def one_species_diagram(net: ReactionNetwork) -> ArrowDiagram:
 def ad_count(net: ReactionNetwork, struct: OneDimStructure) -> AdReport:
     """Count signed diagram triples; the total is the bi-arrow number.
 
-    Triples are listed over the permuted species and reaction orders and
-    reported with 1-based user indices.
+    Triples are listed in the ``species_perm`` and ``opposed_pairs`` orders
+    and reported with 1-based network indices.
     """
     opposed = struct.opposed_pairs()
     sign_data = [pair_sign_data(net, i, j) for i, j in opposed]

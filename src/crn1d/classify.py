@@ -119,7 +119,7 @@ def bi_profile(net: ReactionNetwork, struct: OneDimStructure) -> BiReactionProfi
     if net.num_reactions != 2:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
     alphas, gammas = pair_sign_data(net, 0, 1)
-    return sign_profile(alphas, gammas, struct.lambda_user()[1])
+    return sign_profile(alphas, gammas, struct.lambdas[1])
 
 
 @dataclass(frozen=True)
@@ -222,20 +222,16 @@ def capacity_class_bi(profile: BiReactionProfile) -> CapacityClass:
             rule="case-c",
             detail=f"three classes populated but {lhs} > {rhs} fails",
         )
+    # Some comparison holds: if none did, sum4 <= min1 <= sum1 <= min4 <= sum4
+    # and sum3 <= min2 <= sum2 <= min3 <= sum3, the co-located poles above.
     holding = [(k, l) for k, l in ((1, 4), (4, 1), (2, 3), (3, 2)) if sums[l - 1] > mins[k - 1]]
-    if holding:
-        k, l = holding[0]
-        return CapacityClass(
-            tag=CAP_AT_LEAST_THREE,
-            rule="case-d",
-            detail=f"all four classes populated; S{l} total vs S{k} minimum fires",
-            inequalities=tuple(f"{sums[l - 1]} > {mins[k - 1]}" for k, l in holding),
-            classes=(k, l),
-        )
+    k, l = holding[0]
     return CapacityClass(
-        tag=CAP_AT_MOST_TWO,
+        tag=CAP_AT_LEAST_THREE,
         rule="case-d",
-        detail="all four classes populated but no total beats the opposite minimum",
+        detail=f"all four classes populated; S{l} total vs S{k} minimum fires",
+        inequalities=tuple(f"{sums[l - 1]} > {mins[k - 1]}" for k, l in holding),
+        classes=(k, l),
     )
 
 
@@ -330,8 +326,8 @@ def sufficient_two_test(
 ) -> SufficientCertificate | None:
     """Find an opposed pair with positive finite capacity, if any.
 
-    Scans pairs in permuted lexicographic order and returns the first hit;
-    ``satisfied`` also requires ``necessary``, the pair-diagram test of
+    Scans pairs in ``struct.opposed_pairs()`` order and returns the first
+    hit; ``satisfied`` also requires ``necessary``, the pair-diagram test of
     :func:`necessary_pair_test`, which is what turns the certificate into a
     two-state guarantee.
     """

@@ -132,8 +132,8 @@ def _structure_section(struct) -> dict:
         "species_order": [k + 1 for k in struct.species_perm],
         "reaction_order": [j + 1 for j in struct.reaction_perm],
         "t": struct.t,
-        "gamma": _tag_seq(struct.gamma_user()),
-        "lambda": _tag_seq(struct.lambda_user()),
+        "gamma": _tag_seq(struct.gamma),
+        "lambda": _tag_seq(struct.lambdas),
     }
 
 

@@ -302,41 +302,27 @@ def pair_sign_data(net: ReactionNetwork, i: int, j: int) -> tuple[tuple[int, ...
 class OneDimStructure:
     """Exact description of a network with collinear change vectors.
 
-    ``gamma`` is the change vector of the first listed reaction, written in
-    the permuted species order, and every reaction's change vector equals
-    ``lambdas[j] * gamma`` exactly.  ``lambdas`` follows the permuted
-    reaction order, so ``lambdas[0] == 1`` and the first ``t`` entries are
-    positive.
+    ``gamma`` is the change vector of the first listed reaction, and every
+    reaction's change vector equals ``lambdas[j] * gamma`` exactly, so
+    ``lambdas[0] == 1``.  Both are in the network's own species and
+    reaction order; ``t`` multipliers are positive.
 
-    ``species_perm[p]`` / ``reaction_perm[p]`` give the original 0-based
-    index sitting at permuted position ``p``.  The permutations only
-    normalize presentation: a species moved first along the line, reactions
-    grouped by multiplier sign.  They never reorder the underlying network.
+    ``species_perm`` and ``reaction_perm`` are presentation orders of
+    0-based indices: the base species (the first one reaction 1 moves)
+    before the others, and the reactions with a positive multiplier before
+    those with a negative one.  They order the report, :meth:`opposed_pairs`
+    and the conservation constants, never the vectors.
     """
 
-    species_perm: tuple[int, ...]
-    reaction_perm: tuple[int, ...]
     gamma: tuple[int, ...]
     lambdas: tuple[Fraction, ...]
+    species_perm: tuple[int, ...]
+    reaction_perm: tuple[int, ...]
     t: int
-
-    def gamma_user(self) -> tuple[int, ...]:
-        """gamma indexed by original species position."""
-        out = [0] * len(self.gamma)
-        for p, orig in enumerate(self.species_perm):
-            out[orig] = self.gamma[p]
-        return tuple(out)
-
-    def lambda_user(self) -> tuple[Fraction, ...]:
-        """lambda indexed by original reaction position."""
-        out = [Fraction(0)] * len(self.lambdas)
-        for p, orig in enumerate(self.reaction_perm):
-            out[orig] = self.lambdas[p]
-        return tuple(out)
 
     def opposed_pairs(self) -> list[tuple[int, int]]:
         """0-based (i, j) with reaction i moving along gamma and j against
-        it, in permuted lexicographic order."""
+        it, in ``reaction_perm`` lexicographic order."""
         m = len(self.lambdas)
         return [
             (self.reaction_perm[ip], self.reaction_perm[jp])
@@ -357,29 +343,24 @@ def one_dim_structure(net: ReactionNetwork) -> OneDimStructure:
     base = changes[0]
     if not any(base):
         raise ZeroBaseDirection("reaction 1 has a zero change vector")
-    pivot = next(k for k, v in enumerate(base) if v != 0)
-    lambdas_user = []
+    b = next(k for k, v in enumerate(base) if v != 0)
+    lambdas = []
     for j, delta in enumerate(changes):
         if not any(delta):
             raise ZeroBaseDirection(f"reaction {j + 1} has a zero change vector")
-        lam = Fraction(delta[pivot], base[pivot])
+        lam = Fraction(delta[b], base[b])
         if lam == 0 or any(delta[k] != lam * base[k] for k in range(len(base))):
             raise NotOneDimensional(
                 f"change vector of reaction {j + 1} is not proportional to reaction 1's"
             )
-        lambdas_user.append(lam)
-    positives = [j for j, lam in enumerate(lambdas_user) if lam > 0]
-    negatives = [j for j, lam in enumerate(lambdas_user) if lam < 0]
-    reaction_perm = tuple(positives + negatives)
-    first_moved = next(k for k, v in enumerate(base) if v != 0)
-    species_perm = tuple([first_moved] + [k for k in range(net.num_species) if k != first_moved])
-    gamma = tuple(base[k] for k in species_perm)
-    lambdas = tuple(lambdas_user[j] for j in reaction_perm)
+        lambdas.append(lam)
+    positives = [j for j, lam in enumerate(lambdas) if lam > 0]
+    negatives = [j for j, lam in enumerate(lambdas) if lam < 0]
     return OneDimStructure(
-        species_perm=species_perm,
-        reaction_perm=reaction_perm,
-        gamma=gamma,
-        lambdas=lambdas,
+        gamma=base,
+        lambdas=tuple(lambdas),
+        species_perm=tuple([b] + [k for k in range(net.num_species) if k != b]),
+        reaction_perm=tuple(positives + negatives),
         t=len(positives),
     )
 
@@ -387,16 +368,16 @@ def one_dim_structure(net: ReactionNetwork) -> OneDimStructure:
 def conservation_constants(struct: OneDimStructure, x0: Sequence) -> tuple:
     """Constants pinning down the line through ``x0`` along ``gamma``.
 
-    ``x0`` is a point in original species order; the result has one entry
-    per non-base species, in permuted species order:
-    ``c[i-1] = gamma[i] * x[0] - gamma[0] * x[i]`` for permuted ``i >= 1``.
-    Exact inputs (int / Fraction) give exact constants.
+    ``x0`` is a point in network species order.  With ``b`` the base
+    species, the result is ``gamma[k] * x0[b] - gamma[b] * x0[k]`` for each
+    ``k`` in ``species_perm[1:]``, in that order.  Exact inputs
+    (int / Fraction) give exact constants.
     """
     if len(x0) != len(struct.gamma):
         raise ValueError("x0 length does not match the species count")
-    xp = [x0[orig] for orig in struct.species_perm]
     g = struct.gamma
-    return tuple(g[i] * xp[0] - g[0] * xp[i] for i in range(1, len(g)))
+    b, *rest = struct.species_perm
+    return tuple(g[k] * x0[b] - g[b] * x0[k] for k in rest)
 
 
 @dataclass(frozen=True)
@@ -418,13 +399,12 @@ class EssentialSets:
 
 
 def essential_sets(net: ReactionNetwork, struct: OneDimStructure) -> EssentialSets:
-    gamma_user = struct.gamma_user()
     e = set()
     for k in range(net.num_species):
         coeffs = {rx.reactant[k] for rx in net.reactions}
         if len(coeffs) > 1:
             e.add(k + 1)
-    h = {k + 1 for k in range(net.num_species) if gamma_user[k] != 0}
+    h = {k + 1 for k in range(net.num_species) if struct.gamma[k] != 0}
     return EssentialSets(e=frozenset(e), h=frozenset(h))
 
 

@@ -700,10 +700,9 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         raise ValueError("rate and conservation constants must be finite")
     if any(k <= 0 for k in kappa):
         raise ValueError("rate constants must be positive")
-    lam = [float(v) for v in struct.lambda_user()]
-    gamma_user = struct.gamma_user()
-    perm = struct.species_perm
-    gperm = struct.gamma
+    lam = [float(v) for v in struct.lambdas]
+    g = struct.gamma
+    b, *rest = struct.species_perm
     checks = []
     for raw in witness.states:
         x = [float(v) for v in raw]
@@ -719,11 +718,10 @@ def verify_witness(net: ReactionNetwork, witness, tol: float = 1e-9) -> Verifica
         denom = math.fsum(abs(t) for t in terms)
         rate_residual = abs(math.fsum(terms)) / denom if denom > 0 else math.inf
         cons = 0.0
-        for i, ci in enumerate(conservation_constants(struct, x), start=1):
-            lhs = ci - cs[i - 1]
-            scale = abs(gperm[i] * x[perm[0]]) + abs(gperm[0] * x[perm[i]]) + abs(cs[i - 1]) + 1e-300
-            cons = max(cons, abs(lhs) / scale)
-        slopes = rate_term_slopes(net, terms, gamma_user, x)
+        for k, ck, want in zip(rest, conservation_constants(struct, x), cs):
+            scale = abs(g[k] * x[b]) + abs(g[b] * x[k]) + abs(want) + 1e-300
+            cons = max(cons, abs(ck - want) / scale)
+        slopes = rate_term_slopes(net, terms, g, x)
         dh = math.fsum(slopes)
         dh_scale = math.fsum(abs(v) for v in slopes) + 1e-300
         nondeg = abs(dh) / dh_scale > 1e-8

@@ -39,10 +39,10 @@ from .arrows import AdReport
 from .classify import (
     CAP_AT_LEAST_THREE,
     BiReactionProfile,
+    CapacityClass,
     LambdaNotOpposed,
     NotBiReaction,
     Report,
-    capacity_class_bi,
     nondeg_pair,
 )
 from .network import CrnError, OneDimStructure, ReactionNetwork, conservation_constants, pair_sign_data
@@ -160,20 +160,20 @@ def _curved_offsets(profile: BiReactionProfile, target: int, recipe: str, weight
     raise RecipeFailed(f"{recipe} recipe: no epsilon met the curvature condition")
 
 
-def choose_d_three(profile: BiReactionProfile):
+def choose_d_three(profile: BiReactionProfile, capacity: CapacityClass):
     """Exact offsets putting a correctly-curved critical point at the origin.
 
-    Requires the finite-at-least-three capacity class.  The weights (the
-    values ``|gamma_k| / d_k``) follow the populated-class recipe.  For the
-    class pair the ladder fired (``cap.classes``), ``_RECIPE_ROLES`` names
-    the classes that play S1..S4 and the sign of the curvature target; the
-    epsilon is halved until the exact curvature check passes.
+    ``capacity`` is the ladder's class of ``profile`` and must be
+    finite-at-least-three.  The weights (the values ``|gamma_k| / d_k``)
+    follow the populated-class recipe.  For the class pair the ladder fired
+    (``capacity.classes``), ``_RECIPE_ROLES`` names the classes that play
+    S1..S4 and the sign of the curvature target; the epsilon is halved until
+    the exact curvature check passes.
     """
-    cap = capacity_class_bi(profile)
-    if cap.tag != CAP_AT_LEAST_THREE:
+    if capacity.tag != CAP_AT_LEAST_THREE:
         raise GoalUnattainable(f"three steady states need capacity class "
-                               f"{CAP_AT_LEAST_THREE}, got {cap.tag}")
-    roles, sign = _RECIPE_ROLES[cap.classes]
+                               f"{CAP_AT_LEAST_THREE}, got {capacity.tag}")
+    roles, sign = _RECIPE_ROLES[capacity.classes]
     absa = [abs(a) for a in profile.alphas]
     s1e, s2e, s3e, s4e = (sorted(k - 1 for k in profile.sets[c - 1]) for c in roles)
     sum1, sum4 = profile.sums[roles[0] - 1], profile.sums[roles[3] - 1]
@@ -253,7 +253,7 @@ def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots)
     """
     if net.num_reactions != 2:
         raise NotBiReaction("witness assembly from a level needs two reactions")
-    lam2 = struct.lambda_user()[1]
+    lam2 = struct.lambdas[1]
     if lam2 > 0:
         raise LambdaNotOpposed("both multipliers are positive; no level equation")
     alphas, gammas = pair_sign_data(net, 0, 1)
@@ -324,7 +324,8 @@ def witness_three(report: Report) -> Witness:
         raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
     if report.capacity.tag != CAP_AT_LEAST_THREE:
         raise GoalUnattainable(f"capacity class is {report.capacity.tag}; three states are not available")
-    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, choose_d_three(profile), choose_K_three)
+    d0 = choose_d_three(profile, report.capacity)
+    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, d0, choose_K_three)
     if len(rs.roots) < 3:
         raise RecipeFailed("crossings lost after widening passive offsets")
     witness = assemble_witness(net, report.structure, d_final, K, rs.roots)
@@ -397,8 +398,8 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
         return None
     r_lo, r_hi = pair
 
-    lam = [float(v) for v in struct.lambda_user()]
-    gammas = struct.gamma_user()
+    lam = [float(v) for v in struct.lambdas]
+    gammas = struct.gamma
     li, lj = lam[i], lam[j]
     z_pair = sorted((li * r_lo, li * r_hi))
     line = GProblem(alphas, gammas, d_final)
@@ -463,7 +464,7 @@ def _endpoint_points(net: ReactionNetwork, struct: OneDimStructure, k3: int, fli
     with the species sharing the anchor-constraint orientation ordered
     relative to the constrained species ``k3``.
     """
-    gammas = struct.gamma_user()
+    gammas = struct.gamma
     b = struct.species_perm[0]
     yb, zb = Fraction(2), Fraction(1)
     ascending = (gammas[k3] > 0) != flip
@@ -520,7 +521,7 @@ def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdRepor
     if not ad.left_right:
         raise GoalUnattainable("no left-right diagram triple to anchor the construction")
     k3 = ad.left_right[0][0] - 1
-    lam_exact = struct.lambda_user()
+    lam_exact = struct.lambdas
     lam = [float(v) for v in lam_exact]
     opposed = struct.opposed_pairs()
     last_error = None

@@ -44,3 +44,5 @@ nb = _network_fixture("nb")
 nb_mirror = _network_fixture("nb_mirror")
 eh_empty = _network_fixture("eh_empty")
 example42 = _network_fixture("example42")
+free_balance = _network_fixture("free_balance")
+pair_excluded = _network_fixture("pair_excluded")

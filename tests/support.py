@@ -2,14 +2,14 @@
 
 The steady-state count on an invariant line is recomputed here from
 scratch: restricted to the line, the rate balance is a polynomial in the
-line parameter, which we expand with exact rational coefficients and
-count with a Sturm chain, also exact.  None of the package's interval
-walking, bracketing or sampling code is involved, so agreement between
-the two is meaningful evidence.  The number of critical points of the
-scalar reduction g is counted the same way, from the numerator of g' built
-species by species, and so is the number of solutions of g = K that
-screens the levels handed to the root finder.  The isomorphism key is likewise recomputed by trying
-every relabeling.
+line parameter, which we expand with exact rational coefficients, clear of
+denominators and count with a Sturm chain over the integers, also exact.
+None of the package's interval walking, bracketing or sampling code is
+involved, so agreement between the two is meaningful evidence.  The number
+of critical points of the scalar reduction g is counted the same way, from
+the numerator of g' built species by species, and so is the number of
+solutions of g = K that screens the levels handed to the root finder.  The
+isomorphism key is likewise recomputed by trying every relabeling.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ def line_coordinates(struct, c):
     """Each species as an exact linear function a*t + b of the parameter
     t = value of the base species, returned in original species order."""
     g = struct.gamma
-    cs = [_exact(v) for v in c]
+    b, *rest = struct.species_perm
     coords = [None] * len(g)
-    for p, orig in enumerate(struct.species_perm):
-        if p == 0:
-            coords[orig] = (Fraction(1), Fraction(0))
-        else:
-            coords[orig] = (Fraction(g[p], g[0]), -cs[p - 1] / g[0])
+    coords[b] = (Fraction(1), Fraction(0))
+    for k, ck in zip(rest, c):
+        coords[k] = (Fraction(g[k], g[b]), -_exact(ck) / g[b])
     return coords
 
 
@@ -75,7 +73,7 @@ def positive_window(coords):
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         if pi == 0:
             continue
@@ -89,7 +87,7 @@ def line_polynomial(net: ReactionNetwork, kappa, c):
     balance restricted to the line pinned by ``c``."""
     struct = one_dim_structure(net)
     coords = line_coordinates(struct, c)
-    lam = struct.lambda_user()
+    lam = struct.lambdas
     total: list[Fraction] = [Fraction(0)]
     for j, rx in enumerate(net.reactions):
         mono = [Fraction(1)]
@@ -105,48 +103,72 @@ def line_polynomial(net: ReactionNetwork, kappa, c):
     return total, coords
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _primitive(p):
+    """``p`` (integer coefficients) without trailing zeros, divided by the
+    gcd of its coefficients; a positive multiple, so roots and signs stay."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _integer_poly(p):
+    """A positive integer multiple of the rational polynomial ``p``."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    return _primitive(int(c * den) for c in p)
+
+
+def _sign_at(p, x) -> int:
+    """Sign of the integer polynomial ``p`` at the rational ``x``, from the
+    integer q^deg(p) * p(r / q) for x = r / q."""
+    r, q = x.numerator, x.denominator
+    acc, scale = 0, 1
     for coeff in reversed(p):
-        acc = acc * x + coeff
-    return acc
+        acc = acc * r + coeff * scale
+        scale *= q
+    return (acc > 0) - (acc < 0)
 
 
-def _poly_deflate(p, root: Fraction):
-    """Exact division of p by (t - root); p(root) must be zero."""
-    n = len(p) - 1
-    q = [Fraction(0)] * n
-    acc = p[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = acc
-        acc = p[i] + root * acc
-    assert acc == 0
-    return q
+def _deflate(p, root: Fraction):
+    """Exact division of the integer polynomial ``p`` by (q t - r), for a
+    root r / q of ``p``."""
+    r, q = root.numerator, root.denominator
+    out = [0] * (len(p) - 1)
+    carry = 0
+    for i in range(len(p) - 1, 0, -1):
+        carry, rem = divmod(p[i] + r * carry, q)
+        assert rem == 0
+        out[i - 1] = carry
+    assert p[0] == -r * carry
+    return out
 
 
-def _poly_rem(num, den):
+def _pseudo_rem(num, den):
+    """A positive multiple of the remainder of ``num`` by ``den``, over the
+    integers: each step scales ``num`` by |lc(den)| before subtracting."""
     num = list(num)
+    scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
     while len(num) >= len(den):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        f = num[-1] / den[-1]
-        off = len(num) - len(den)
-        for i, coeff in enumerate(den):
-            num[off + i] -= f * coeff
+        f = num[-1] * sign
+        if f:
+            off = len(num) - len(den)
+            num = [scale * coeff for coeff in num]
+            for i, coeff in enumerate(den):
+                num[off + i] -= f * coeff
         num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+    return _primitive(num)
 
 
 def _sturm_chain(p):
+    """Sturm chain of the integer polynomial ``p``, each member made
+    primitive (a primitive remainder sequence)."""
     chain = [p]
-    deriv = [i * coeff for i, coeff in enumerate(p)][1:]
+    deriv = _primitive(i * coeff for i, coeff in enumerate(p))[1:]
     if deriv:
         chain.append(deriv)
     while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-coeff for coeff in rem])
@@ -158,14 +180,24 @@ def _sign_changes(signs) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    return _sign_changes(
-        [0 if (v := _poly_eval(p, x)) == 0 else (1 if v > 0 else -1) for p in chain]
-    )
+def _variations_at(chain, x) -> int:
+    return _sign_changes([_sign_at(p, x) for p in chain])
 
 
-def _variations_at_plus_inf(chain) -> int:
-    return _sign_changes([1 if p[-1] > 0 else -1 for p in chain])
+def _roots_in_window(total, lo, hi) -> int:
+    """Distinct roots of the nonzero integer polynomial ``total`` strictly
+    between ``lo`` and ``hi`` (None for an infinite end)."""
+    total = _primitive(total)
+    for end in (lo, hi):
+        while end is not None and len(total) > 1 and _sign_at(total, end) == 0:
+            total = _deflate(total, end)
+    if len(total) == 1:
+        return 0
+    bound = 1 - (-max(abs(c) for c in total[:-1]) // abs(total[-1]))
+    lo = (-bound if hi is None else min(-bound, hi)) if lo is None else lo
+    hi = max(bound, lo) if hi is None else hi
+    chain = _sturm_chain(total)
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def count_line_states(net: ReactionNetwork, kappa, c):
@@ -181,19 +213,7 @@ def count_line_states(net: ReactionNetwork, kappa, c):
         return 0
     if all(v == 0 for v in total):
         return None
-    lo, hi = window
-    while total[-1] == 0:
-        total.pop()
-    while _poly_eval(total, lo) == 0:
-        total = _poly_deflate(total, lo)
-    if hi is not None:
-        while _poly_eval(total, hi) == 0:
-            total = _poly_deflate(total, hi)
-    if len(total) == 1:
-        return 0
-    chain = _sturm_chain(total)
-    v_hi = _variations_at(chain, hi) if hi is not None else _variations_at_plus_inf(chain)
-    return _variations_at(chain, lo) - v_hi
+    return _roots_in_window(_integer_poly(total), *window)
 
 
 # g-problems that a sign scan of g' on a float grid gets wrong: a pair of
@@ -225,24 +245,6 @@ def _window(gp):
     return max(lows, default=None), min(highs, default=None)
 
 
-def _roots_in_window(total, lo, hi) -> int:
-    """Distinct roots of the nonzero polynomial ``total`` strictly between
-    ``lo`` and ``hi`` (None for an infinite end)."""
-    total = list(total)
-    while total[-1] == 0:
-        total.pop()
-    for end in (lo, hi):
-        while end is not None and len(total) > 1 and _poly_eval(total, end) == 0:
-            total = _poly_deflate(total, end)
-    if len(total) == 1:
-        return 0
-    bound = 1 + math.ceil(max(abs(c / total[-1]) for c in total[:-1]))
-    lo = (-bound if hi is None else min(-bound, hi)) if lo is None else lo
-    hi = max(bound, lo) if hi is None else hi
-    chain = _sturm_chain(total)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
 def exact_critical_count(gp) -> int:
     """Number of distinct zeros of g' inside the interval of ``gp``, exact.
 
@@ -258,11 +260,11 @@ def exact_critical_count(gp) -> int:
         term = [Fraction(a * g)]
         for j, (_a, gj, dj) in enumerate(moving):
             if j != k:
-                term = _poly_mul(term, [dj, Fraction(gj)])
+                term = _poly_mul(term, [dj, gj])
         for i, coeff in enumerate(term):
             total[i] += coeff
     assert any(total), "g' vanishes identically"
-    return _roots_in_window(total, *_window(gp))
+    return _roots_in_window(_integer_poly(total), *_window(gp))
 
 
 def level_counter(gp):
@@ -271,20 +273,27 @@ def level_counter(gp):
 
     exp(g) = prod_k (g_k z + d_k)^(a_k), so on the interval g = ln L
     exactly where P - L Q vanishes, with P the product of the factors of
-    positive exponent and Q that of the negative ones.  Only the fields of
-    ``gp`` are used.
+    positive exponent and Q that of the negative ones.  With d_k = n_k / m_k
+    the integer factor n_k + m_k g_k z is m_k times the exact one, so
+    P = Pi / p and Q = Qi / q for integer polynomials Pi, Qi and integers
+    p, q; for L = u / v the count is that of v q Pi - u p Qi.  Only the
+    fields of ``gp`` are used.
     """
-    P, Q = [Fraction(1)], [Fraction(1)]
+    Pi, Qi, p, q = [1], [1], 1, 1
     for a, g, d in zip(gp.alphas, gp.gammas, gp.offsets):
+        d = _exact(d)
+        factor = [d.numerator, d.denominator * g]
         for _ in range(abs(a)):
             if a > 0:
-                P = _poly_mul(P, [_exact(d), Fraction(g)])
+                Pi, p = _poly_mul(Pi, factor), p * d.denominator
             else:
-                Q = _poly_mul(Q, [_exact(d), Fraction(g)])
+                Qi, q = _poly_mul(Qi, factor), q * d.denominator
+    Pi = [q * coeff for coeff in Pi]
+    Qi = [p * coeff for coeff in Qi]
     window = _window(gp)
 
     def count(L: Fraction) -> int:
-        total = [p - L * q for p, q in zip_longest(P, Q, fillvalue=0)]
+        total = [L.denominator * pc - L.numerator * qc for pc, qc in zip_longest(Pi, Qi, fillvalue=0)]
         assert any(total), "g is constant at the level"
         return _roots_in_window(total, *window)
 

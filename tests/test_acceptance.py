@@ -75,18 +75,16 @@ def states_from_reference(net, kappa1, kappa2, c):
     """Steady states on the compatibility class c at the given rates."""
     struct = one_dim_structure(net)
     prof = bi_profile(net, struct)
-    g0 = Fraction(prof.gammas[0])
-    d = (Fraction(0),) + tuple(-Fraction(ck) / g0 for ck in c)
-    gp = GProblem(prof.alphas, prof.gammas, d)
+    # x = gamma z + d with d[b] = 0 for the base species b meets
+    # c = gamma[k] x[b] - gamma[b] x[k] when d[k] = -c / gamma[b]
+    b, *rest = struct.species_perm
+    d = [Fraction(0)] * net.num_species
+    for k, ck in zip(rest, c):
+        d[k] = -Fraction(ck) / prof.gammas[b]
+    gp = GProblem(prof.alphas, prof.gammas, tuple(d))
     K = math.log(float(-prof.lambda2) * float(kappa2) / float(kappa1))
     roots = find_roots(gp, K)
-    states = []
-    for z in roots.roots:
-        xp = [float(g) * z + float(dk) for g, dk in zip(prof.gammas, d)]
-        x = [0.0] * len(xp)
-        for pos, sp in enumerate(struct.species_perm):
-            x[sp] = xp[pos]
-        states.append(tuple(x))
+    states = [tuple(float(g) * z + float(dk) for g, dk in zip(prof.gammas, d)) for z in roots.roots]
     states.sort(key=lambda row: row[0])
     return states
 

@@ -266,6 +266,20 @@ class TestClassifyReport:
         assert rep.sufficient_two.satisfied
         assert not rep.necessary_three.passes
 
+    def test_multi_reaction_free_species_balance(self, free_balance):
+        # X1 moves but its reactant coefficient never varies; X2 varies but never moves
+        cap = classify(free_balance).capacity
+        assert (cap.tag, cap.rule) == ("infinitely-many", "free-species-balance")
+        assert cap.detail == (
+            "no species is both rate-relevant and moved, and both directions "
+            "occur, so tuned rates make every point of a line steady"
+        )
+
+    def test_multi_reaction_pair_test_excludes_two(self, pair_excluded):
+        cap = classify(pair_excluded).capacity
+        assert (cap.tag, cap.rule) == ("unknown", "tests-only")
+        assert cap.detail == "multiple nondegenerate steady states excluded while the capacity is finite"
+
     def test_five_species_reduces(self, five_species):
         rep = classify(five_species)
         assert rep.capacity.tag == "finite-at-least-three"

@@ -124,27 +124,28 @@ class TestValidation:
 class TestOneDimStructure:
     def test_exact_proportionality(self, gb):
         struct = one_dim_structure(gb)
-        lam = struct.lambda_user()
-        gamma = struct.gamma_user()
+        lam = struct.lambdas
+        gamma = struct.gamma
         for j, rx in enumerate(gb.reactions):
             assert all(
                 Fraction(d) == lam[j] * g for d, g in zip(rx.change, gamma)
             )
 
     def test_first_multiplier_is_one(self, gd):
-        assert one_dim_structure(gd).lambda_user()[0] == 1
+        assert one_dim_structure(gd).lambdas[0] == 1
 
     def test_sign_grouping(self, w2):
         struct = one_dim_structure(w2)
         assert struct.t == 2
         assert struct.reaction_perm == (0, 2, 1)
-        assert all(l > 0 for l in struct.lambdas[: struct.t])
-        assert all(l < 0 for l in struct.lambdas[struct.t :])
+        grouped = [struct.lambdas[j] for j in struct.reaction_perm]
+        assert all(l > 0 for l in grouped[: struct.t])
+        assert all(l < 0 for l in grouped[struct.t :])
 
     def test_base_species_moves(self, ad_example):
         struct = one_dim_structure(ad_example)
-        assert struct.gamma[0] != 0
-        assert struct.gamma_user() == (-1, 1, 1)
+        assert struct.gamma[struct.species_perm[0]] != 0
+        assert struct.gamma == (-1, 1, 1)
 
     def test_rejects_two_dimensional(self):
         net = parse_network("X1 -> 2 X1\nX2 -> 2 X2")
@@ -176,7 +177,7 @@ class TestConservation:
 
     def test_constants_invariant_along_line(self, gd):
         struct = one_dim_structure(gd)
-        gamma = struct.gamma_user()
+        gamma = struct.gamma
         x0 = (Fraction(5), Fraction(7), Fraction(2), Fraction(9))
         x1 = tuple(v + 3 * g for v, g in zip(x0, gamma))
         assert conservation_constants(struct, x0) == conservation_constants(struct, x1)

@@ -61,8 +61,8 @@ class TestStructure:
     def test_changes_are_proportional(self, seed):
         net = seeded_net(seed)
         struct = one_dim_structure(net)
-        gam = struct.gamma_user()
-        lam = struct.lambda_user()
+        gam = struct.gamma
+        lam = struct.lambdas
         assert lam[0] == 1
         for j, rx in enumerate(net.reactions):
             for k in range(net.num_species):
@@ -72,10 +72,10 @@ class TestStructure:
     def test_permutation_grouping(self, seed):
         net = seeded_net(seed)
         struct = one_dim_structure(net)
-        lam = struct.lambda_user()
+        lam = struct.lambdas
         for pos, j in enumerate(struct.reaction_perm):
             assert (lam[j] > 0) == (pos < struct.t)
-        assert struct.gamma[0] != 0
+        assert struct.gamma[struct.species_perm[0]] != 0
         assert sorted(struct.reaction_perm) == list(range(net.num_reactions))
         assert sorted(struct.species_perm) == list(range(net.num_species))
 
@@ -84,7 +84,7 @@ class TestStructure:
         rng = Random(seed)
         net = random_bi_network(rng, max_species=4, max_coeff=4)
         struct = one_dim_structure(net)
-        gam = struct.gamma_user()
+        gam = struct.gamma
         x0 = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in gam)
         base = conservation_constants(struct, x0)
         for step in (1, -3, Fraction(5, 2)):
@@ -98,9 +98,9 @@ class TestStructure:
         struct = one_dim_structure(net)
         x0 = tuple(Fraction(rng.randint(1, 9)) for _ in range(net.num_species))
         c = conservation_constants(struct, x0)
-        perm, gperm = struct.species_perm, struct.gamma
+        perm, g = struct.species_perm, struct.gamma
         for i in range(1, net.num_species):
-            assert c[i - 1] == gperm[i] * x0[perm[0]] - gperm[0] * x0[perm[i]]
+            assert c[i - 1] == g[perm[i]] * x0[perm[0]] - g[perm[0]] * x0[perm[i]]
 
 
 class TestDiagrams:
@@ -169,6 +169,21 @@ class TestCapacity:
             assert prof.sums[l - 1] > prof.mins[k - 1]
         else:
             assert cap.classes is None
+
+    @given(sign_data, st.lists(st.integers(min_value=1, max_value=4), min_size=8, max_size=8))
+    def test_four_classes_fire_case_d(self, data, sizes):
+        # one species in each of S1..S4 ahead of the drawn ones: unless the
+        # poles co-locate, some total beats the opposite minimum
+        a, g = sizes[:4], sizes[4:]
+        alphas = (a[0], -a[1], a[2], -a[3], *data[0])
+        gammas = (g[0], -g[1], -g[2], g[3], *data[1])
+        prof = sign_profile(alphas, gammas, -1)
+        cap = capacity_class_bi(prof)
+        s1, s2, s3, s4 = prof.sums
+        if s1 == s4 and s2 == s3:
+            assert cap.rule == "co-located-poles"
+        else:
+            assert (cap.tag, cap.rule) == ("finite-at-least-three", "case-d")
 
 
 class TestSignProfile:
@@ -346,7 +361,7 @@ class TestRecipes:
             if cap.tag != "finite-at-least-three":
                 continue
             found += 1
-            d = choose_d_three(prof)
+            d = choose_d_three(prof, cap)
             slope = sum(
                 Fraction(a) * g / dk
                 for a, g, dk in zip(prof.alphas, prof.gammas, d)

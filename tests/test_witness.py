@@ -13,6 +13,7 @@ from crn1d import (
     RecipeFailed,
     assemble_witness,
     bi_profile,
+    capacity_class_bi,
     choose_K_three,
     choose_d_three,
     classify,
@@ -32,23 +33,27 @@ def profile_of(net):
     return bi_profile(net, one_dim_structure(net))
 
 
+def offsets_of(prof):
+    return choose_d_three(prof, capacity_class_bi(prof))
+
+
 class TestChooseD:
     def test_gb_offsets(self, gb):
-        assert choose_d_three(profile_of(gb)) == (16, Fraction(8, 15), 1)
+        assert offsets_of(profile_of(gb)) == (16, Fraction(8, 15), 1)
 
     def test_gc_offsets(self, gc):
-        assert choose_d_three(profile_of(gc)) == (1, 16, Fraction(32, 17))
+        assert offsets_of(profile_of(gc)) == (1, 16, Fraction(32, 17))
 
     def test_gd_offsets(self, gd):
-        assert choose_d_three(profile_of(gd)) == (Fraction(64, 33), 32, 16, 1)
+        assert offsets_of(profile_of(gd)) == (Fraction(64, 33), 32, 16, 1)
 
     def test_requires_at_least_three(self, ga):
         with pytest.raises(GoalUnattainable, match="finite-at-most-two"):
-            choose_d_three(profile_of(ga))
+            offsets_of(profile_of(ga))
 
     def test_offsets_balance_the_origin(self, gc):
         prof = profile_of(gc)
-        gp = GProblem(prof.alphas, prof.gammas, choose_d_three(prof))
+        gp = GProblem(prof.alphas, prof.gammas, offsets_of(prof))
         from crn1d import eval_g
 
         g0, g1, g2 = eval_g(gp, 0.0)
@@ -81,7 +86,7 @@ class TestChooseD:
         totals in a two-class profile are the co-located-poles continuum, so
         each two-class branch has just these two sides.
         """
-        assert choose_d_three(sign_profile(alphas, gammas, -1)) == tuple(map(Fraction, offsets))
+        assert offsets_of(sign_profile(alphas, gammas, -1)) == tuple(map(Fraction, offsets))
 
     def test_g_problem_length_check(self, gb):
         with pytest.raises(ValueError):
@@ -92,7 +97,7 @@ class TestChooseD:
 class TestChooseK:
     def test_three_confirmed_crossings(self, gb):
         prof = profile_of(gb)
-        gp = GProblem(prof.alphas, prof.gammas, choose_d_three(prof))
+        gp = GProblem(prof.alphas, prof.gammas, offsets_of(prof))
         K, roots = choose_K_three(gp)
         rs = find_roots(gp, K)
         assert roots == rs.roots
@@ -211,7 +216,7 @@ class TestWitnessTwo:
         assert count_line_states(nb, w.kappa, w.c) == 2
         # the rational polish makes the balance exactly zero
         struct = one_dim_structure(nb)
-        lam = struct.lambda_user()
+        lam = struct.lambdas
         for state in w.states:
             balance = sum(
                 lam[j]
