@@ -43,7 +43,6 @@ from .network import (
     format_reaction,
     pair_sign_data,
     parse_network,
-    sign_data,
 )
 from .numeric import DimensionMismatch, GProblem, NumericOverflow, OutOfDomain, eval_g_value, verify_witness
 from .witness import GoalUnattainable, Witness, witness_three, witness_two_general
@@ -516,24 +515,37 @@ def _species_names(species: int) -> tuple[str, ...]:
 
 def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
     """Canonical representatives among networks with changes (c1*e, c2*e),
-    each as its coefficient pairs ``((a1, p1), (a2, p2))``."""
+    each as its coefficient pairs ``((a1, p1), (a2, p2))``, in product order
+    of ``a1`` and then ``a2``.
+
+    A pair is its own :func:`canonical_key` exactly when its columns
+    ``(a1k, p1k, a2k, p2k)`` are non-decreasing and its table is not larger
+    than the table of the swapped order, whose first row begins with
+    ``sorted(a2)``.  Where two columns of ``(a1, p1)`` tie, ``e`` ties too,
+    so ``a2`` must be non-decreasing there.  ``sorted(a2) < a1`` rejects,
+    ``sorted(a2) > a1`` accepts, and only a tie needs the key itself.
+    """
     d1 = tuple(c1 * v for v in e)
     d2 = tuple(c2 * v for v in e)
     ranges1 = [range(max(0, -d1[k]), bound - max(0, d1[k]) + 1) for k in range(species)]
     ranges2 = [range(max(0, -d2[k]), bound - max(0, d2[k]) + 1) for k in range(species)]
+    seconds = [(a2, tuple(sorted(a2))) for a2 in product(*ranges2)]
+    unchanged = [k for k in range(species) if e[k] == 0]
     for a1 in product(*ranges1):
         p1 = tuple(a + d for a, d in zip(a1, d1))
-        if sorted(zip(a1, p1)) != list(zip(a1, p1)):
-            continue  # a representative's species columns are sorted (canonical_key)
-        for a2 in product(*ranges2):
-            if a1 == a2 and d1 == d2:
-                continue
-            if not all(e[k] != 0 or a1[k] > 0 or a2[k] > 0 for k in range(species)):
+        columns = list(zip(a1, p1))
+        if sorted(columns) != columns:
+            continue
+        ties = [k for k in range(species - 1) if columns[k] == columns[k + 1]]
+        absent = [k for k in unchanged if a1[k] == 0]  # the second reaction must use these
+        for a2, swapped in seconds:
+            if swapped < a1 or any(a2[k] > a2[k + 1] for k in ties) or not all(a2[k] for k in absent):
                 continue
             p2 = tuple(a + d for a, d in zip(a2, d2))
             pair = ((a1, p1), (a2, p2))
-            if canonical_key(pair) == (a1 + p1, a2 + p2):
-                yield pair
+            if swapped == a1 and (a2 == a1 and d2 == d1 or canonical_key(pair) != (a1 + p1, a2 + p2)):
+                continue
+            yield pair
 
 
 def _cells(max_coeff: int, directions):
@@ -576,10 +588,12 @@ def _cell_records(cell) -> list[tuple[str, str]]:
     species, bound, e, c1, c2 = cell
     names = _species_names(species)
     lambda2 = Fraction(c2, c1)
+    gammas = tuple(c1 * v for v in e)
     derived: dict[tuple[int, ...], tuple[str, str, int]] = {}  # alphas -> (tag, rule, ad)
+    texts: dict[tuple, str] = {}  # (reactant, product) -> .crn line
     out = []
     for first, second in _cell_networks(species, bound, e, c1, c2):
-        alphas, gammas = sign_data(first, second)
+        alphas = tuple(a - b for a, b in zip(first[0], second[0]))
         fields = derived.get(alphas)
         if fields is None:
             profile = sign_profile(alphas, gammas, lambda2)
@@ -587,8 +601,11 @@ def _cell_records(cell) -> list[tuple[str, str]]:
             ad = sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0
             fields = derived[alphas] = (capacity.tag, capacity.rule, ad)
         tag, rule, ad = fields
+        for rx in (first, second):
+            if rx not in texts:
+                texts[rx] = format_reaction(*rx, names)
         record = {
-            "network": [format_reaction(*first, names), format_reaction(*second, names)],
+            "network": [texts[first], texts[second]],
             "tag": tag,
             "rule": rule,
             "ad": ad,
@@ -730,6 +747,10 @@ def main(argv=None) -> int:
     except CrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except BrokenPipeError:
+        # the reader went away; what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

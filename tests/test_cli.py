@@ -4,11 +4,13 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -567,8 +569,6 @@ class TestEnumerate:
     def test_matches_brute_force_census(self):
         # independent census: every 1-species reaction pair with
         # coefficients <= 2, grouped by the brute-force key
-        from itertools import product
-
         brute = set()
         for a1, p1, a2, p2 in product(range(3), repeat=4):
             if a1 == p1 or a2 == p2:
@@ -579,6 +579,46 @@ class TestEnumerate:
         streamed = [brute_force_key(net.reactions) for net in enumerate_bi_networks(1, 2)]
         assert len(streamed) == len(set(streamed)) == 15
         assert set(streamed) == brute
+
+    @pytest.mark.parametrize(
+        "species,bound",
+        [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)],
+    )
+    def test_matches_filtered_product(self, species, bound):
+        # the generator decides most candidates without canonical_key; the
+        # reference tries every a2 against every column-sorted (a1, p1) of a
+        # cell, in the same order, and keeps the pairs that are their own key
+        assert [tuple((rx.reactant, rx.product) for rx in net.reactions)
+                for net in enumerate_bi_networks(species, bound)] == list(filtered_product(species, bound))
+
+
+def filtered_product(species, bound):
+    """Canonical pairs ``((a1, p1), (a2, p2))`` with changes ``(c1*e, c2*e)``:
+    primitive ``e`` in lexicographic order, multipliers ``c, -c`` for each
+    ``c``, and the full ``a1 x a2`` product of each cell, filtered by
+    :func:`canonical_key`."""
+    for e in product(range(-bound, bound + 1), repeat=species):
+        if math.gcd(*e) != 1 or next(v for v in e if v != 0) < 0:
+            continue
+        cmax = bound // max(map(abs, e))
+        multipliers = [m for c in range(1, cmax + 1) for m in (c, -c)]
+        for c1, c2 in product(multipliers, repeat=2):
+            d1, d2 = tuple(c1 * v for v in e), tuple(c2 * v for v in e)
+            firsts = product(*(range(max(0, -d), bound - max(0, d) + 1) for d in d1))
+            seconds = list(product(*(range(max(0, -d), bound - max(0, d) + 1) for d in d2)))
+            for a1 in firsts:
+                p1 = tuple(a + d for a, d in zip(a1, d1))
+                if sorted(zip(a1, p1)) != list(zip(a1, p1)):
+                    continue
+                for a2 in seconds:
+                    if a1 == a2 and d1 == d2:
+                        continue
+                    if not all(e[k] != 0 or a1[k] > 0 or a2[k] > 0 for k in range(species)):
+                        continue
+                    p2 = tuple(a + d for a, d in zip(a2, d2))
+                    pair = ((a1, p1), (a2, p2))
+                    if canonical_key(pair) == (a1 + p1, a2 + p2):
+                        yield pair
 
 
 _STARTUP_PROBE = """
@@ -596,10 +636,13 @@ print(json.dumps({
 """
 
 
-def _run_python(*args):
+def _python_env():
     src = str(Path(crn1d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_python(*args):
+    return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_cli_import_leaves_out_numpy_and_multiprocessing():
@@ -612,6 +655,21 @@ def test_module_form_runs_the_cli():
     done = _run_python("-m", "crn1d", "classify", crn("gb"))
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["command"] == "classify"
+
+
+def test_closed_pipe_exits_two_without_traceback():
+    # the stream (about 2 MB) outgrows the pipe buffer, so the writer meets
+    # the closed pipe long before it finishes
+    argv = [sys.executable, "-m", "crn1d", "enumerate", "--species", "3", "--max-coeff", "3"]
+    with subprocess.Popen(argv, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first["network"] == ["0 -> X3", "X1 + X2 -> X1 + X2 + X3"]
+    assert code == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_no_module_imports_a_private_name():

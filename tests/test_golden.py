@@ -81,8 +81,10 @@ ENUMERATE = {
     (2, 2): "cefdc46d899e22e8af6e0e827f5b9d309d725811eb670cc07878bf9fdfe4d8f4",
     (2, 3): "75b2e92b478d4038f9afcee7fffa42a5ad9543fd1aab55058028f96945e216b4",
     (2, 4): "a359d3813c6ed7d018eba26e92aa121c17be78ae916f38afe8675c90898e2caf",
+    (3, 1): "3e045f483c839a427bf11cc8751c781ec42435334217769aae71827161afb874",
     (3, 2): "b3212731a7abb0ea4ec924e061cae03b6c097a702d7d2e944b915daafce3d184",
     (3, 3): "90053132ef8731a99a176477d63184d23f4fc078fcb2a7c2aa83f69039f08ae9",
+    (4, 1): "ffa7eaaf42877ae7118fc915f647c7d052281bf8af500f9092da5f3f2e1e86da",
     (4, 2): "11a25524a6485810860cc4d715078eb92f5689cbcaafef45a2da83a13baf7ba3",
 }
 
