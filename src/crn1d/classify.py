@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .arrows import AdReport, BOTH, ad_count, one_species_diagram
 from .network import (
-    CrnError,
     EssentialReduction,
     EssentialSets,
     OneDimStructure,
@@ -43,14 +42,6 @@ CAP_INFINITE = "infinitely-many"
 CAP_AT_MOST_TWO = "finite-at-most-two"
 CAP_AT_LEAST_THREE = "finite-at-least-three"
 CAP_UNKNOWN = "unknown"
-
-
-class NotBiReaction(CrnError):
-    """The operation needs a network with exactly two reactions."""
-
-
-class LambdaNotOpposed(CrnError):
-    """Both reactions move the same way; no positive steady state exists."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +81,10 @@ def sign_profile(alphas, gammas, lambda2) -> BiReactionProfile:
     """Sign profile of a two-reaction network from its sign data.
 
     ``alphas`` and ``gammas`` are as returned by
-    :func:`~crn1d.network.sign_data`; ``lambda2`` is the second reaction's
-    change over the first's.  The profile depends on nothing else, so a
-    caller that already knows these (as ``enumerate`` does) needs no
-    :func:`~crn1d.network.one_dim_structure`.  One pass puts each species
+    :func:`~crn1d.network.pair_sign_data`; ``lambda2`` is the second
+    reaction's change over the first's.  The profile depends on nothing
+    else, so a caller that already knows these (as ``enumerate`` does)
+    needs no :func:`~crn1d.network.one_dim_structure`.  One pass puts each species
     in its class; the sets, sums and minima are read from those lists.
     """
     members: tuple[list[int], ...] = ([], [], [], [], [])  # 1-based species per class
@@ -112,14 +103,6 @@ def sign_profile(alphas, gammas, lambda2) -> BiReactionProfile:
         sums=tuple(map(sum, sizes)),
         mins=tuple(min(v) if v else None for v in sizes),
     )
-
-
-def bi_profile(net: ReactionNetwork, struct: OneDimStructure) -> BiReactionProfile:
-    """Sign profile of a two-reaction network (first reaction is the base)."""
-    if net.num_reactions != 2:
-        raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
-    alphas, gammas = pair_sign_data(net, 0, 1)
-    return sign_profile(alphas, gammas, struct.lambdas[1])
 
 
 @dataclass(frozen=True)
@@ -496,7 +479,7 @@ def classify(net: ReactionNetwork) -> Report:
     profile = None
     two_report = None
     if net.num_reactions == 2:
-        profile = bi_profile(net, struct)
+        profile = sign_profile(*pair_sign_data(net, 0, 1), struct.lambdas[1])
         capacity = capacity_class_bi(profile)
         if profile.lambda2 < 0:
             two_report = nondeg_pair(profile.alphas, profile.gammas)

@@ -12,10 +12,10 @@ Exact numbers are serialized as ``{"rational": "p/q", "decimal": "..."}``,
 binary64 numbers as ``{"float64": x}`` (non-finite values as strings);
 counts and 1-based indices stay plain integers.
 
-Exit codes: 0 success; 1 a verification ran and failed; 2 usage, parse, or
-witness-file problems; 3 the network's stoichiometric subspace is not
-one-dimensional; 4 the requested witness goal is unattainable for the
-network; 5 an engine failure while constructing a witness.
+Exit codes: 0 success; 1 a verification ran and failed; 2 usage, parse,
+witness-file, read or write problems; 3 the network's stoichiometric
+subspace is not one-dimensional; 4 the classification rules the requested
+witness goal out; 5 the witness was not constructed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .classify import NotBiReaction, Report, canonical_key, capacity_class_bi, classify, sign_profile
+from .classify import Report, canonical_key, capacity_class_bi, classify, sign_profile
 from .network import (
     CrnError,
     NotOneDimensional,
@@ -383,8 +383,6 @@ def _read_network(path: str) -> ReactionNetwork:
     try:
         with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise UsageError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     return parse_network(text)
@@ -396,11 +394,8 @@ def _emit(args, doc: dict, pretty_lines) -> None:
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -434,11 +429,8 @@ def _dump_g_csv(path: str, net: ReactionNetwork, w: Witness) -> None:
             except OutOfDomain:
                 continue
             rows.append(f"{z!r},{g!r}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        raise UsageError(str(exc)) from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def cmd_witness(args) -> int:
@@ -621,12 +613,7 @@ def cmd_enumerate(args) -> int:
     total = 0
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        sink = sys.stdout
-        if args.out:
-            try:
-                sink = stack.enter_context(open(args.out, "w", encoding="utf-8"))
-            except OSError as exc:
-                raise UsageError(str(exc)) from exc
+        sink = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
         batches = map(_cell_records, cells)
         if workers > 1:
             from multiprocessing import Pool  # imported here so other commands do not load it
@@ -637,6 +624,7 @@ def cmd_enumerate(args) -> int:
                 sink.write(line + "\n")
                 counts[tag] += 1
                 total += 1
+        sink.flush()  # a failed write shows before the summary, not after it
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
@@ -734,22 +722,29 @@ def main(argv=None) -> int:
     if args.command in ("witness", "verify") and not 0 < args.tol < math.inf:
         parser.error("--tol must be finite and positive")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write that fails (a full disk) fails here, not at exit
+        return code
     except (ParseError, UsageError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotOneDimensional, ZeroBaseDirection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GoalUnattainable, NotBiReaction) as exc:
+    except GoalUnattainable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except CrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except BrokenPipeError:
-        # the reader went away; what is still buffered goes to devnull at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # a file that cannot be read or written, a closed pipe, a full disk
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed: what it still buffers goes to devnull at exit
+            with contextlib.suppress(OSError, ValueError):  # no real descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

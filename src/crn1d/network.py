@@ -280,22 +280,16 @@ def format_network(net: ReactionNetwork) -> str:
     return "".join(format_reaction(*rx, net.species) + "\n" for rx in net.reactions)
 
 
-def sign_data(first, second) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(alphas, gammas) of the reaction pair (first, second).
-
-    Each reaction is a ``(reactant, product)`` pair of coefficient vectors
-    (a :class:`Reaction` unpacks to one).  ``alphas[k]`` is the reactant
-    difference of species ``k``, first minus second, and ``gammas`` is the
-    change vector of ``first``: the data the scalar reduction of the pair
-    and its sign classes are built from.
-    """
-    (r1, p1), (r2, _p2) = first, second
-    return tuple(a - b for a, b in zip(r1, r2)), _change(r1, p1)
-
-
 def pair_sign_data(net: ReactionNetwork, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """:func:`sign_data` of reactions ``i`` and ``j`` (0-based), user order."""
-    return sign_data(net.reactions[i], net.reactions[j])
+    """(alphas, gammas) of reactions ``i`` and ``j`` (0-based), user order.
+
+    ``alphas[k]`` is the reactant difference of species ``k``, reaction
+    ``i`` minus reaction ``j``, and ``gammas`` is the change vector of
+    reaction ``i``: the data the scalar reduction of the pair and its sign
+    classes are built from.
+    """
+    first, second = net.reactions[i], net.reactions[j]
+    return tuple(a - b for a, b in zip(first.reactant, second.reactant)), first.change
 
 
 @dataclass(frozen=True)

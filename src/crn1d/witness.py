@@ -26,6 +26,10 @@ every rate term comes from :func:`~crn1d.numeric.rate_terms`.  Every
 returned witness has been replayed through the verifier at 1e-9; where
 ``nondegenerate`` is set, its flags are the verifier's (the endpoint
 construction leaves it ``None``).
+
+A goal fails in one of two ways.  :class:`GoalUnattainable` is raised only
+where the report's own verdicts rule the goal out; a construction that did
+not get there raises a plain :class:`~crn1d.network.CrnError`.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from fractions import Fraction
 from .arrows import AdReport
 from .classify import (
     CAP_AT_LEAST_THREE,
+    CAP_INFINITE,
+    CAP_ZERO,
     BiReactionProfile,
     CapacityClass,
-    LambdaNotOpposed,
-    NotBiReaction,
     Report,
     nondeg_pair,
 )
@@ -63,26 +67,6 @@ from .numeric import (
 
 class GoalUnattainable(CrnError):
     """The requested witness is ruled out (or not certified) for this network."""
-
-
-class RecipeFailed(CrnError):
-    """An offset recipe did not reach its postcondition."""
-
-
-class NoSecondCriticalPoint(CrnError):
-    """No level with three confirmed crossings was found."""
-
-
-class RootOutsideInterval(CrnError):
-    """A claimed root does not correspond to a positive state."""
-
-
-class ClaimEndpointFailed(CrnError):
-    """The concentrated-rate endpoints do not straddle a balanced ratio."""
-
-
-class BisectionStalled(CrnError):
-    """The ratio-matching bisection failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,7 @@ def _curved_offsets(profile: BiReactionProfile, target: int, recipe: str, weight
             if (g2 > 0) == (target > 0) and g2 != 0:
                 return _weights_to_offsets(profile.gammas, weights)
         eps /= 2
-    raise RecipeFailed(f"{recipe} recipe: no epsilon met the curvature condition")
+    raise CrnError(f"{recipe} recipe: no epsilon met the curvature condition")
 
 
 def choose_d_three(profile: BiReactionProfile, capacity: CapacityClass):
@@ -225,10 +209,10 @@ def choose_K_three(gp: GProblem) -> tuple[float, tuple[float, ...]]:
     g0, g1_0, g2_0 = eval_g(gp, 0.0)
     scale1 = sum(abs(a * g) / d for a, g, d in gp.terms if g != 0)
     if abs(g1_0) > 1e-9 * (1.0 + scale1):
-        raise RecipeFailed(f"no critical point at the origin (g'(0) = {g1_0})")
+        raise CrnError(f"no critical point at the origin (g'(0) = {g1_0})")
     scale2 = sum(abs(a) * g * g / d**2 for a, g, d in gp.terms if g != 0)
     if abs(g2_0) <= 1e-12 * (1.0 + scale2):
-        raise RecipeFailed("flat curvature at the origin")
+        raise CrnError("flat curvature at the origin")
     crits = list(critical_points(gp))
     if crits:
         crits.remove(min(crits, key=abs))  # the origin's own critical point
@@ -240,42 +224,7 @@ def choose_K_three(gp: GProblem) -> tuple[float, tuple[float, ...]]:
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
             return K, rs.roots
-    raise NoSecondCriticalPoint("no level produced three confirmed crossings")
-
-
-def assemble_witness(net: ReactionNetwork, struct: OneDimStructure, d, K, roots) -> Witness:
-    """Package roots of the scalar reduction as a bi-reaction witness.
-
-    Sets the base rate to 1 and solves the level equation for the second
-    rate; converts each root to a state and records exact conservation
-    constants from the offsets.  ``nondegenerate`` is left ``None``: it is
-    the verifier's to decide.
-    """
-    if net.num_reactions != 2:
-        raise NotBiReaction("witness assembly from a level needs two reactions")
-    lam2 = struct.lambdas[1]
-    if lam2 > 0:
-        raise LambdaNotOpposed("both multipliers are positive; no level equation")
-    alphas, gammas = pair_sign_data(net, 0, 1)
-    gp = GProblem(alphas, gammas, tuple(d))
-    K = float(K)
-    zs = sorted(float(z) for z in roots)
-    states = []
-    for z in zs:
-        if not (gp.lower < z < gp.upper):
-            raise RootOutsideInterval(f"root {z} outside ({gp.lower}, {gp.upper})")
-        x = tuple(g * z + dk for _a, g, dk in gp.terms)
-        if any(v <= 0 for v in x):
-            raise RootOutsideInterval(f"state at z = {z} is not strictly positive")
-        states.append(x)
-    return Witness(
-        kappa=(1.0, _level_rate(K, 1.0, float(-lam2))),
-        c=conservation_constants(struct, gp.offsets),
-        states=tuple(states),
-        z_roots=tuple(zs),
-        level=K,
-        offsets=tuple(gp.offsets),
-    )
+    raise CrnError("no level produced three confirmed crossings")
 
 
 def _level_rate(K: float, num: float, den: float) -> float:
@@ -290,7 +239,7 @@ def _level_rate(K: float, num: float, den: float) -> float:
 
 
 def _pair_line(alphas, gammas, d0, pick):
-    """``(offsets, K, RootSet)`` of ``g = K`` on an opposed pair's line.
+    """``(GProblem, K, RootSet)`` of ``g = K`` on an opposed pair's line.
 
     Moving species with zero alpha do not change g: they are masked as
     fixed for ``pick(probe)``, which chooses ``(K, roots)``, then their
@@ -308,7 +257,8 @@ def _pair_line(alphas, gammas, d0, pick):
     d = list(d0)
     for k in passive:
         d[k] = Fraction(abs(gammas[k]) * w)
-    return tuple(d), K, find_roots(GProblem(alphas, gammas, tuple(d)), K)
+    gp = GProblem(alphas, gammas, tuple(d))
+    return gp, K, find_roots(gp, K)
 
 
 def witness_three(report: Report) -> Witness:
@@ -317,22 +267,37 @@ def witness_three(report: Report) -> Witness:
     Reads the profile and capacity class from ``report`` (what
     :func:`classify` built).  The level comes from :func:`choose_K_three` on
     the line of the pair with its weightless moving species masked (see
-    :func:`_pair_line`).
+    :func:`_pair_line`); the roots of that solve become the states, with
+    the base rate 1 and the second rate putting the pair on the level.
+    Without exactly two reactions there is no construction: the goal is
+    unattainable where a pair test fails or the capacity class is zero or
+    infinitely-many, and not constructed otherwise.
     """
-    net, profile = report.network, report.profile
-    if profile is None:
-        raise NotBiReaction(f"expected 2 reactions, got {net.num_reactions}")
-    if report.capacity.tag != CAP_AT_LEAST_THREE:
-        raise GoalUnattainable(f"capacity class is {report.capacity.tag}; three states are not available")
-    d0 = choose_d_three(profile, report.capacity)
-    d_final, K, rs = _pair_line(profile.alphas, profile.gammas, d0, choose_K_three)
+    net, profile, capacity = report.network, report.profile, report.capacity
+    if profile is None and capacity.tag not in (CAP_ZERO, CAP_INFINITE):
+        for test in (report.necessary_three, report.necessary_pair):
+            if not test.passes:
+                raise GoalUnattainable(test.note)
+        raise CrnError(f"no three-state construction for {net.num_reactions} reactions "
+                       "(the report does not rule three states out)")
+    if capacity.tag != CAP_AT_LEAST_THREE:
+        raise GoalUnattainable(f"capacity class is {capacity.tag}; three states are not available")
+    d0 = choose_d_three(profile, capacity)
+    gp, K, rs = _pair_line(profile.alphas, profile.gammas, d0, choose_K_three)
     if len(rs.roots) < 3:
-        raise RecipeFailed("crossings lost after widening passive offsets")
-    witness = assemble_witness(net, report.structure, d_final, K, rs.roots)
+        raise CrnError("crossings lost after widening passive offsets")
+    witness = Witness(
+        kappa=(1.0, _level_rate(K, 1.0, float(-profile.lambda2))),
+        c=conservation_constants(report.structure, gp.offsets),
+        states=tuple(tuple(g * z + d for _a, g, d in gp.terms) for z in rs.roots),
+        z_roots=rs.roots,
+        level=K,
+        offsets=gp.offsets,
+    )
     verification = verify_witness(net, witness, 1e-9)
     if not verification.passed:
         worst = max(c.rate_residual for c in verification.states)
-        raise RecipeFailed(f"witness failed verification (worst residual {worst})")
+        raise CrnError(f"witness failed verification (worst residual {worst})")
     return replace(witness, nondegenerate=tuple(c.nondegenerate for c in verification.states))
 
 
@@ -387,12 +352,13 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
                 continue
             if pair is not None:
                 return K, pair
-        raise NoSecondCriticalPoint("no level has crossings on both sides of the origin")
+        raise CrnError("no level has crossings on both sides of the origin")
 
     try:
-        d_final, K, rs = _pair_line(alphas, pair_gammas, _weights_to_offsets(pair_gammas, weights), pick)
+        gp, K, rs = _pair_line(alphas, pair_gammas, _weights_to_offsets(pair_gammas, weights), pick)
     except CrnError:
         return None
+    d_final = gp.offsets
     pair = _straddle(rs.roots)
     if pair is None:
         return None
@@ -518,8 +484,6 @@ def _log_ratio_gap(net: ReactionNetwork, lam, kappa, y, z) -> float:
 def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdReport) -> Witness:
     """Two states on an explicit line by matching rate ratios between
     concentrated-rate endpoints, with an exact rational polish."""
-    if not ad.left_right:
-        raise GoalUnattainable("no left-right diagram triple to anchor the construction")
     k3 = ad.left_right[0][0] - 1
     lam_exact = struct.lambdas
     lam = [float(v) for v in lam_exact]
@@ -540,15 +504,13 @@ def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdRepor
         neg = min(gaps)
         pos = max(gaps)
         if not (neg[0] < -1e-12 and pos[0] > 1e-12):
-            last_error = ClaimEndpointFailed(
-                "monomial-ratio gaps do not take both signs across opposed pairs"
-            )
+            last_error = CrnError("monomial-ratio gaps do not take both signs across opposed pairs")
             continue
         witness = _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos)
         if witness is not None:
             return witness
-        last_error = ClaimEndpointFailed("endpoint matching did not verify")
-    raise last_error or ClaimEndpointFailed("no positive endpoint construction available")
+        last_error = CrnError("endpoint matching did not verify")
+    raise last_error or CrnError("no positive endpoint construction available")
 
 
 def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | None:
@@ -584,7 +546,7 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
         if hi_t - lo_t <= 1e-17:
             break
     if kappa is None or abs(_log_ratio_gap(net, lam, kappa, y, z)) > 1e-6:
-        raise BisectionStalled("ratio-matching bisection left a visible gap")
+        raise CrnError("ratio-matching bisection left a visible gap")
     up, down = _up_down(net, lam, kappa, z)
     kappa = [kappa[j] / up if lam[j] > 0 else kappa[j] / down for j in range(m)]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from crn1d import ReactionNetwork, parse_network
+from crn1d import ReactionNetwork, pair_sign_data, parse_network, sign_profile
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,6 +21,11 @@ settings.load_profile("suite")
 
 def load(name: str) -> ReactionNetwork:
     return parse_network((DATA / f"{name}.crn").read_text())
+
+
+def bi_profile(net: ReactionNetwork, struct):
+    """Sign profile of a two-reaction network, the first reaction as base."""
+    return sign_profile(*pair_sign_data(net, 0, 1), struct.lambdas[1])
 
 
 def _network_fixture(name):

@@ -15,7 +15,6 @@ from crn1d import (
     GProblem,
     Witness,
     ad_count,
-    bi_profile,
     classify,
     critical_points,
     embed,
@@ -32,7 +31,7 @@ from crn1d import (
     witness_two_general,
 )
 
-from conftest import DATA
+from conftest import DATA, bi_profile
 from support import count_line_states, exact_critical_count, random_bi_network, random_gproblem, sample_level
 
 # Rounded reference tables for the three showcase networks: rate constants,

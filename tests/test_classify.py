@@ -3,11 +3,8 @@
 import importlib
 from fractions import Fraction
 
-import pytest
-
 from crn1d import (
     ad_count,
-    bi_profile,
     capacity_class_bi,
     classify,
     necessary_pair_test,
@@ -16,7 +13,9 @@ from crn1d import (
     parse_network,
     sufficient_two_test,
 )
-from crn1d.classify import NotBiReaction, known_issue_warnings, structural_warnings
+from crn1d.classify import known_issue_warnings, structural_warnings
+
+from conftest import bi_profile
 
 
 def profile_of(net):
@@ -55,10 +54,6 @@ class TestBiProfile:
         # parse order is X1, X2, X4, X5, X3; X4 and X5 do not move
         assert prof.classes == ("S3", "S1", "S5", "S5", "S4")
         assert prof.sets[4] == frozenset({3, 4})
-
-    def test_rejects_three_reactions(self, w1):
-        with pytest.raises(NotBiReaction):
-            profile_of(w1)
 
 
 class TestCapacityLadder:

@@ -43,6 +43,10 @@ def crn(name):
     return str(DATA / f"{name}.crn")
 
 
+# the networks of tests/data/pool_multi.txt, one line each, reactions split by " / "
+POOL_MULTI = [line for line in (DATA / "pool_multi.txt").read_text().splitlines() if not line.startswith("#")]
+
+
 class TestAnalyze:
     def test_json_document(self, capsys):
         code, out, err = run(capsys, "analyze", crn("gb"))
@@ -153,6 +157,37 @@ class TestWitnessCommand:
         code, _, err = run(capsys, "witness", crn("ga"), "--goal", "three")
         assert code == 4
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("w1", 5),  # the pair tests pass and the capacity is unknown: not constructed
+            ("pair_excluded", 4),  # no left-right diagram: the pair test rules it out
+            ("free_balance", 4),  # infinitely-many
+        ],
+    )
+    def test_goal_three_beyond_two_reactions(self, capsys, name, expected):
+        code, out, err = run(capsys, "witness", crn(name), "--goal", "three")
+        assert (code, out) == (expected, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_goal_three_one_reaction(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "witness", "-", "--goal", "three", stdin="X1 -> 2 X1\n",
+                             monkeypatch=monkeypatch)
+        assert (code, out) == (4, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [pytest.param(line, id=f"net{i}") for i, line in enumerate(POOL_MULTI)])
+    def test_goal_three_exit_follows_the_report(self, capsys, tmp_path, line):
+        """Exit 4 exactly where the report rules three states out, 5 otherwise."""
+        path = tmp_path / "net.crn"
+        path.write_text(line.replace(" / ", "\n") + "\n")
+        report = classify(parse_network(path.read_text()))
+        ruled_out = (not report.necessary_three.passes or not report.necessary_pair.passes
+                     or report.capacity.tag in ("zero", "infinitely-many"))
+        code, out, err = run(capsys, "witness", str(path), "--goal", "three")
+        assert (code, out) == (4 if ruled_out else 5, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_dump_g(self, capsys, tmp_path):
         csv = tmp_path / "g.csv"
@@ -329,6 +364,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
+
+    def test_failed_stdout_without_descriptor(self, capsys, monkeypatch):
+        class FullStream(io.StringIO):  # an in-process stdout that fails and has no descriptor
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("sys.stdout", FullStream())
+        code = main(["classify", crn("gb")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
     def test_over_long_coefficient(self, capsys, monkeypatch):
         text = "X1 -> " + "9" * 4301 + " X1\n"
@@ -670,6 +718,30 @@ def test_closed_pipe_exits_two_without_traceback():
     assert first["network"] == ["0 -> X3", "X1 + X2 -> X1 + X2 + X3"]
     assert code == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout_full",
+    [
+        (["classify", crn("gb")], True),
+        (["enumerate", "--species", "1", "--max-coeff", "1"], True),
+        (["enumerate", "--species", "1", "--max-coeff", "1", "--out", "/dev/full"], False),
+    ],
+    ids=["classify", "enumerate", "enumerate-out"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_disk_exits_two_without_traceback(argv, stdout_full, unbuffered):
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full" if stdout_full else os.devnull, "w") as sink:
+        done = subprocess.run([sys.executable, "-m", "crn1d", *argv], env=env, stdout=sink,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
+    assert done.stderr.startswith("error:") and "No space left on device" in done.stderr
 
 
 def test_no_module_imports_a_private_name():

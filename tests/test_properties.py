@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from crn1d import (
     GProblem,
     ad_count,
-    bi_profile,
     canonical_key,
     capacity_class_bi,
     choose_d_three,
@@ -31,6 +30,7 @@ from crn1d import (
     sign_profile,
 )
 
+from conftest import bi_profile
 from support import (
     CLUSTERED,
     FLAT_TAIL,

@@ -6,13 +6,9 @@ from fractions import Fraction
 import pytest
 
 from crn1d import (
+    CrnError,
     GoalUnattainable,
     GProblem,
-    LambdaNotOpposed,
-    NotBiReaction,
-    RecipeFailed,
-    assemble_witness,
-    bi_profile,
     capacity_class_bi,
     choose_K_three,
     choose_d_three,
@@ -26,6 +22,7 @@ from crn1d import (
     witness_two_general,
 )
 
+from conftest import bi_profile
 from support import count_line_states
 
 
@@ -105,40 +102,21 @@ class TestChooseK:
         assert rs.suspected_degenerate == ()
 
     def test_needs_critical_origin(self):
-        with pytest.raises(RecipeFailed, match="no critical point at the origin"):
+        with pytest.raises(CrnError, match="no critical point at the origin"):
             choose_K_three(GProblem((2, -1), (1, 1), (1, 2)))
 
 
 class TestAssemble:
     def test_packaging(self, gb):
-        struct = one_dim_structure(gb)
-        d = (16, Fraction(8, 15), 1)
-        gp = GProblem((2, 1, -2), (1, 1, 1), d)
-        K, _ = choose_K_three(gp)
-        roots = find_roots(gp, K).roots
-        w = assemble_witness(gb, struct, d, K, roots)
-        assert w.kappa[0] == 1.0
+        """``witness_three`` packages the roots of its own confirming solve."""
+        w = witness_three(classify(gb))
+        gp = GProblem((2, 1, -2), (1, 1, 1), w.offsets)
+        K, roots = choose_K_three(gp)
+        assert (w.level, w.z_roots) == (K, roots)
+        assert w.z_roots == tuple(sorted(w.z_roots))
         assert w.kappa[1] == pytest.approx(math.exp(K), rel=1e-15)
-        assert w.c == (Fraction(232, 15), Fraction(15))
-        assert w.z_roots == tuple(sorted(roots))
+        assert w.states == tuple((z + 16.0, z + 8 / 15, z + 1.0) for z in roots)
         assert all(v > 0 for state in w.states for v in state)
-
-    def test_root_outside_interval(self, gb):
-        struct = one_dim_structure(gb)
-        d = (16, Fraction(8, 15), 1)
-        from crn1d import RootOutsideInterval
-
-        with pytest.raises(RootOutsideInterval):
-            assemble_witness(gb, struct, d, 0.0, (-1.0,))
-
-    def test_needs_opposed_pair(self):
-        net = parse_network("X1 -> 2 X1\n2 X1 -> 3 X1")
-        with pytest.raises(LambdaNotOpposed):
-            assemble_witness(net, one_dim_structure(net), (1,), 0.0, ())
-
-    def test_needs_two_reactions(self, w1):
-        with pytest.raises(NotBiReaction):
-            assemble_witness(w1, one_dim_structure(w1), (1, 1), 0.0, ())
 
 
 class TestWitnessThree:
@@ -189,8 +167,10 @@ class TestWitnessThree:
             witness_three(classify(example42))
 
     def test_rejects_three_reactions(self, w1):
-        with pytest.raises(NotBiReaction):
+        # the pair tests pass and the capacity is unknown: not ruled out, not constructed
+        with pytest.raises(CrnError, match="no three-state construction for 3 reactions") as caught:
             witness_three(classify(w1))
+        assert not isinstance(caught.value, GoalUnattainable)
 
 
 class TestWitnessTwo:
