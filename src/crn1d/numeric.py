@@ -8,10 +8,10 @@ of an opposed reaction pair collapses to ``g(z) = K`` with
 on the interval where every argument is positive.  This module owns that
 function: exact interval endpoints and pole bookkeeping (offsets are stored
 as ``Fraction``), evaluation with derivatives, critical points isolated
-exactly by a Sturm chain, a root finder with verified residuals (one root
-per monotone piece), a deliberately independent grid oracle used to
-cross-check root counts, and the witness verifier that replays a claimed
-set of steady states against the full network.
+exactly by a Sturm chain over the integers (the rational chain made
+primitive), a root finder with verified residuals (one root per monotone
+piece), an independent grid oracle that cross-checks root counts, and the
+witness verifier that replays claimed steady states on the full network.
 
 The root finder and the oracle share no code beyond ``GProblem`` itself;
 agreement between them is part of the test contract.
@@ -214,22 +214,23 @@ def _limit(gp: GProblem, side: str) -> tuple[str, float]:
     return "finite", math.fsum(finite_terms)
 
 
-def _integer_poly(p: list) -> list[int]:
-    """``p`` (ascending powers, leading zeros dropped) times a positive
-    rational: coprime integers, so every sign is kept."""
+def _primitive(p: list[int]) -> list[int]:
+    """``p`` (ascending powers, leading zeros dropped) divided by the gcd of
+    its coefficients, so every sign is kept."""
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
-    den = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    return [c // math.gcd(*ints) for c in ints]
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _divmod_poly(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of polynomials over the rationals."""
-    rem = [Fraction(c) for c in num]
-    quo = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+def _pseudo_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder scaled by |lc(den)| per step: positive multiples of the rational ones."""
+    scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
+    rem, quo = list(num), [0] * max(1, len(num) - len(den) + 1)
     for off in range(len(num) - len(den), -1, -1):
-        f = quo[off] = rem[off + len(den) - 1] / den[-1]
+        f = sign * rem[off + len(den) - 1]
+        rem, quo = [scale * c for c in rem], [scale * c for c in quo]
+        quo[off] = f
         for i, c in enumerate(den):
             rem[off + i] -= f * c
     rem = rem[: len(den) - 1]
@@ -248,9 +249,9 @@ def _sign_at(p: list[int], x: Fraction) -> int:
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
-    chain = [p, _integer_poly([i * c for i, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1 and (rem := _divmod_poly(chain[-2], chain[-1])[1]):
-        chain.append(_integer_poly([-c for c in rem]))
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1 and (rem := _pseudo_divmod(chain[-2], chain[-1])[1]):
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -262,23 +263,23 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
 def _derivative_numerator(gp: GProblem) -> list[int]:
     """Square-free integer polynomial with the zeros of g' inside the interval.
 
-    Over the pole groups with nonzero residue, g' = N / prod_j (z - p_j) with
-    N = sum_i r_i prod_{j != i} (z - p_j), and no pole lies inside the
+    Per pole group, residue r_j != 0 at u_j / v_j: g' = N / prod_j (v_j z - u_j)
+    with N = sum_i r_i v_i prod_{j != i} (v_j z - u_j), no pole inside the
     interval.  Repeated roots of N and roots at a finite end are divided out.
     """
-    groups = [(pole, r) for pole, r in gp.pole_groups if r != 0]
-    num = [Fraction(0)] * len(groups)
-    for i, (_pole, r) in enumerate(groups):
-        term = [Fraction(r)]
-        for pole, _r in groups[:i] + groups[i + 1:]:  # term *= (z - pole)
-            term = [-pole * term[0]] + [c - pole * d for c, d in zip(term, term[1:])] + [term[-1]]
+    groups = [(pole.numerator, pole.denominator, r) for pole, r in gp.pole_groups if r != 0]
+    num = [0] * len(groups)
+    for i, (_u, v_i, r) in enumerate(groups):
+        term = [r * v_i]
+        for u, v, _r in groups[:i] + groups[i + 1:]:  # term *= (v z - u)
+            term = [-u * term[0]] + [v * c - u * d for c, d in zip(term, term[1:])] + [v * term[-1]]
         num = [n + t for n, t in zip(num, term)]
-    p = _integer_poly(num)
+    p = _primitive(num)
     if len(p) > 2 and len(common := _sturm_chain(p)[-1]) > 1:
-        p = _integer_poly(_divmod_poly(p, common)[0])
+        p = _primitive(_pseudo_divmod(p, common)[0])
     for end in (gp.lower_exact, gp.upper_exact):
         if end is not None and len(p) > 1 and _sign_at(p, end) == 0:
-            p = _integer_poly(_divmod_poly(p, [-end, 1])[0])
+            p = _primitive(_pseudo_divmod(p, [-end.numerator, end.denominator])[0])
     return p
 
 
@@ -352,9 +353,9 @@ def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> fl
 def critical_points(gp: GProblem) -> tuple[float, ...]:
     """Zeros of g' inside the interval, in increasing order.
 
-    Counted and isolated exactly by a Sturm chain of the numerator of g',
-    then polished in binary64.  Raises :class:`ConstantG` when g' vanishes
-    identically (decided exactly from the pole residues).
+    Counted and isolated exactly by an integer Sturm chain of the numerator
+    of g' (the rational chain made primitive), then polished in binary64.
+    Raises :class:`ConstantG` when g' vanishes identically (all residues 0).
     """
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")

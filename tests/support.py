@@ -238,6 +238,19 @@ FLAT_TAIL = GProblem(
 )
 
 
+# g' has a double zero at z = -1/4: the Sturm chain's last member is not a
+# constant, so the numerator is divided by it to become square-free.
+DOUBLE_ZERO = GProblem((-3, 3, -1, 0), (-2, -2, -2, 1), (Fraction(5, 2), 1, Fraction(1, 2), 3))
+# The numerator of g' vanishes at the upper end z = 1, a pole of zero
+# weight, and is divided by (z - 1) there.
+END_ROOT = GProblem((2, 3, 0), (1, -1, -1), (1, 4, 1))
+# The numerator of g' is z^4 + 4z + 1: its Sturm chain drops from degree 3
+# to degree 1 with a negative leading coefficient, so the next remainder
+# takes three pseudo-division steps and its sign depends on scaling each
+# step by |lc| rather than lc.
+DEGREE_GAP = GProblem((7, 2, 2, -9, 10), (1, 1, -1, -1, -1), (3, 1, 0, 1, 2))
+
+
 def _window(gp):
     """Exact ends (lo, hi) of the interval of ``gp``, None where unbounded."""
     lows = [-_exact(d) / g for g, d in zip(gp.gammas, gp.offsets) if g > 0]
@@ -382,6 +395,30 @@ def random_gproblem(rng: random.Random, max_species: int = 6) -> GProblem:
         if is_constant(gp):
             continue
         return gp
+
+
+def clustered_gproblem(rng: random.Random) -> tuple[GProblem, float]:
+    """A g-problem on a finite interval whose poles cluster within about
+    1e-4 at each end (offsets with denominators up to 1e10), and a level K
+    that g takes at a uniform interior point."""
+    while True:
+        s = rng.randint(3, 6)
+        alphas = tuple(rng.randint(-3, 3) for _ in range(s))
+        gammas = tuple(rng.choice((-2, -1, -1, 1, 2)) for _ in range(s))
+        if not any(g > 0 for g in gammas) or not any(g < 0 for g in gammas):
+            continue
+        center = rng.randint(2, 20)
+        poles = [
+            (center if g < 0 else -center) + Fraction(rng.randint(-10**4, 10**4), 10 ** rng.randint(8, 10))
+            for g in gammas
+        ]
+        gp = GProblem(alphas, gammas, tuple(-g * p for g, p in zip(gammas, poles)))
+        if is_constant(gp):
+            continue
+        lo, hi = (float(v) for v in _window(gp))
+        K = _g_value(gp, lo + (hi - lo) * rng.uniform(0.03, 0.97))
+        if K is not None:
+            return gp, K
 
 
 def _g_value(gp: GProblem, z: float) -> float | None:

@@ -15,7 +15,7 @@ import pytest
 from crn1d import critical_points, find_roots, main
 
 from conftest import DATA
-from support import random_gproblem
+from support import DEGREE_GAP, DOUBLE_ZERO, END_ROOT, clustered_gproblem, random_gproblem
 
 CLASSIFY = {
     "gb": "b22fc9e34ed1da7b436df13673387e864583fa0c3d54d39d7b85e9589d8bc7d9",
@@ -103,6 +103,10 @@ POOLS = {
 
 # repr of critical_points and find_roots over 200 seeded g-problems
 ROOTS = "fdbc7b6d1026532c92de27ad33c0633835d3b2cf39a4c0c9d73462b97e8fd289"
+# the same over 100 seeded clustered-pole g-problems, the two fixtures that
+# divide the numerator of g' (a double zero, a zero at an end) and the one
+# whose Sturm chain skips a degree
+CLUSTERED_ROOTS = "2f0f9174482f7686b64e1fcd3c3a595c723c482e774ceb783b787fcd3036fce4"
 
 
 def digest_of(capsys, *argv) -> str:
@@ -153,16 +157,30 @@ def test_pool_witness_and_verify_bytes(capsys, tmp_path, name):
     assert (witnesses.hexdigest(), verifies.hexdigest()) == POOLS[name]
 
 
-def test_root_finder_bytes():
+def roots_digest(cases) -> str:
+    """SHA-256 over the repr of critical_points and find_roots (or the name
+    of the exception raised) for each ``(gp, K)``."""
     h = hashlib.sha256()
-    for i in range(200):
-        rng = random.Random(f"pin-{i}")
-        gp = random_gproblem(rng)
-        K = rng.uniform(-6, 6)
+    for gp, K in cases:
         for call in (lambda: critical_points(gp), lambda: find_roots(gp, K)):
             try:
                 out = repr(call())
             except Exception as exc:
                 out = type(exc).__name__
             h.update(out.encode() + b"\n")
-    assert h.hexdigest() == ROOTS
+    return h.hexdigest()
+
+
+def test_root_finder_bytes():
+    cases = []
+    for i in range(200):
+        rng = random.Random(f"pin-{i}")
+        gp = random_gproblem(rng)
+        cases.append((gp, rng.uniform(-6, 6)))
+    assert roots_digest(cases) == ROOTS
+
+
+def test_clustered_root_finder_bytes():
+    cases = [clustered_gproblem(random.Random(f"cluster-{i}")) for i in range(100)]
+    cases += [(gp, K) for gp in (DOUBLE_ZERO, END_ROOT, DEGREE_GAP) for K in (-2.2, 0.0, 4.0)]
+    assert roots_digest(cases) == CLUSTERED_ROOTS

@@ -23,7 +23,7 @@ from crn1d import (
     verify_witness,
 )
 
-from support import CLUSTERED, FLAT_TAIL
+from support import CLUSTERED, DOUBLE_ZERO, END_ROOT, FLAT_TAIL, exact_critical_count
 
 # gb-shaped problem with recipe offsets: g'(z) has roots exactly at 0 and 13
 GB_LIKE = GProblem((2, 1, -2), (1, 1, 1), (16, Fraction(8, 15), 1))
@@ -119,6 +119,17 @@ class TestCriticalPoints:
     def test_cancelling_tail_has_none(self):
         # g' is about 1e-33 near z = -1e15 and keeps its sign
         assert critical_points(FLAT_TAIL) == ()
+
+    def test_double_zero_is_one_point(self):
+        # g' vanishes twice over at z = -1/4; float g' reads 0.0 across a
+        # window about 1e-8 wide there, so the polished point is that close
+        crits = critical_points(DOUBLE_ZERO)
+        assert len(crits) == exact_critical_count(DOUBLE_ZERO) == 1
+        assert abs(crits[0] + 0.25) < 1e-8
+
+    def test_zero_at_an_end_is_not_a_point(self):
+        # the numerator of g' vanishes at the upper end z = 1
+        assert critical_points(END_ROOT) == ()
 
     def test_constant_g(self):
         gp = GProblem((1, -1), (1, 1), (1, 1))

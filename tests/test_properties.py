@@ -29,12 +29,17 @@ from crn1d import (
     parse_network,
     sign_profile,
 )
+from crn1d.numeric import _derivative_numerator, _sturm_chain
 
 from conftest import bi_profile
 from support import (
     CLUSTERED,
+    DEGREE_GAP,
+    DOUBLE_ZERO,
+    END_ROOT,
     FLAT_TAIL,
     brute_force_key,
+    clustered_gproblem,
     count_line_states,
     exact_critical_count,
     random_bi_network,
@@ -336,15 +341,90 @@ class TestGProblemCache:
                 assert getattr(gp, name) == value, name
 
 
+def _euclid_divmod(num, den):
+    """Quotient and remainder of rational polynomials (ascending powers)."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for off in range(len(num) - len(den), -1, -1):
+        f = quo[off] = rem[off + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[off + i] -= f * c
+    rem = rem[: len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _euclid_chain(p):
+    """Sturm chain of ``p`` over the rationals: p, p', then the negated
+    Euclidean remainders."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1 and (rem := _euclid_divmod(chain[-2], chain[-1])[1]):
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _euclid_numerator(gp):
+    """The numerator of g' over the rationals, sum_i r_i prod_{j != i}
+    (z - p_j) over the pole groups with nonzero residue, divided by its gcd
+    with its derivative and by (z - end) where it vanishes at a finite end."""
+    groups = [(pole, r) for pole, r in gp.pole_groups if r]
+    num = [Fraction(0)] * len(groups)
+    for i, (_pole, r) in enumerate(groups):
+        term = [Fraction(r)]
+        for pole, _r in groups[:i] + groups[i + 1:]:
+            term = [a - pole * b for a, b in zip([Fraction(0), *term], [*term, Fraction(0)])]
+        num = [a + b for a, b in zip(num, term)]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    if len(num) > 2 and len(common := _euclid_chain(num)[-1]) > 1:
+        num = _euclid_divmod(num, common)[0]
+    for end in (gp.lower_exact, gp.upper_exact):
+        if end is not None and len(num) > 1 and sum(c * end**i for i, c in enumerate(num)) == 0:
+            num = _euclid_divmod(num, [-end, 1])[0]
+    return num
+
+
+def _positive_multiple(ints, ref) -> bool:
+    """``ints`` is c * ``ref`` for some rational c > 0."""
+    if len(ints) != len(ref):
+        return False
+    c = Fraction(ints[-1]) / ref[-1]
+    return c > 0 and all(a == c * b for a, b in zip(ints, ref))
+
+
+def assert_chain_matches_euclid(gp):
+    p, ref = _derivative_numerator(gp), _euclid_numerator(gp)
+    assert _positive_multiple(p, ref), (p, ref)
+    if len(p) > 1:
+        chain, ref_chain = _sturm_chain(p), _euclid_chain(ref)
+        assert len(chain) == len(ref_chain)
+        for q, ref_q in zip(chain, ref_chain):
+            assert _positive_multiple(q, ref_q), (q, ref_q)
+
+
 class TestCriticalPoints:
     @given(seeds)
     def test_count_is_exact(self, seed):
         gp = random_gproblem(Random(seed))
         assert len(critical_points(gp)) == exact_critical_count(gp)
 
-    @pytest.mark.parametrize("gp", [CLUSTERED, FLAT_TAIL], ids=["clustered", "flat_tail"])
+    @pytest.mark.parametrize(
+        "gp",
+        [CLUSTERED, FLAT_TAIL, DOUBLE_ZERO, END_ROOT, DEGREE_GAP],
+        ids=["clustered", "flat_tail", "double_zero", "end_root", "degree_gap"],
+    )
     def test_reproducers(self, gp):
         assert len(critical_points(gp)) == exact_critical_count(gp)
+        assert_chain_matches_euclid(gp)
+
+    @given(seeds)
+    def test_chain_is_a_positive_multiple_of_euclid(self, seed):
+        # every member keeps the sign of the Euclidean chain over the
+        # rationals, so sign variations and the isolation steps are the same
+        rng = Random(seed)
+        assert_chain_matches_euclid(random_gproblem(rng))
+        assert_chain_matches_euclid(clustered_gproblem(rng)[0])
 
 
 class TestRecipes:
