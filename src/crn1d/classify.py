@@ -26,11 +26,11 @@ from fractions import Fraction
 
 from .arrows import AdReport, BOTH, ad_count, one_species_diagram
 from .network import (
-    EssentialReduction,
+    Embedding,
     EssentialSets,
     OneDimStructure,
     ReactionNetwork,
-    essential_reduction,
+    embed,
     essential_sets,
     one_dim_structure,
     pair_sign_data,
@@ -345,7 +345,7 @@ class Report:
     capacity: CapacityClass
     profile: BiReactionProfile | None
     two_reaction: TwoReactionReport | None
-    reduction: EssentialReduction | None
+    reduction: Embedding | None
     reduced: "Report | None"
     warnings: tuple[Notice, ...]
 
@@ -488,7 +488,7 @@ def classify(net: ReactionNetwork) -> Report:
     reduction = None
     reduced = None
     if sets.eh and len(sets.eh) < net.num_species:
-        reduction = essential_reduction(net, struct, sets)
+        reduction = embed(net, sorted(sets.eh))
         reduced = classify(reduction.network)
     warnings = structural_warnings(net) + known_issue_warnings(net)
     return Report(

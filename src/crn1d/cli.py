@@ -29,18 +29,16 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
-from .classify import Report, canonical_key, capacity_class_bi, classify, sign_profile
+from .census import cell_records, cells
+from .classify import Report, classify
 from .network import (
     CrnError,
     NotOneDimensional,
     ParseError,
-    Reaction,
     ReactionNetwork,
     ZeroBaseDirection,
     format_network,
-    format_reaction,
     pair_sign_data,
     parse_network,
 )
@@ -212,7 +210,7 @@ def _reduction_section(report: Report) -> dict | None:
         "kept_species": sorted(red.kept_species),
         "dropped_reactions": sorted(red.dropped_reactions),
         "network": format_network(red.network).splitlines(),
-        "note": red.note,
+        "note": "positive steady-state counts per invariant line match the original network",
         "classification": None,
     }
     if report.reduced is not None:
@@ -492,139 +490,25 @@ def cmd_verify(args) -> int:
 # Enumeration.
 
 
-def _primitive_directions(species: int, bound: int) -> list[tuple[int, ...]]:
-    """Primitive integer directions with entries in [-bound, bound], first
-    nonzero entry positive, in lexicographic order."""
-    return [
-        vec for vec in product(range(-bound, bound + 1), repeat=species)
-        if math.gcd(*vec) == 1 and next(v for v in vec if v != 0) > 0
-    ]
-
-
-def _species_names(species: int) -> tuple[str, ...]:
-    return tuple(f"X{k + 1}" for k in range(species))
-
-
-def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
-    """Canonical representatives among networks with changes (c1*e, c2*e),
-    each as its coefficient pairs ``((a1, p1), (a2, p2))``, in product order
-    of ``a1`` and then ``a2``.
-
-    A pair is its own :func:`canonical_key` exactly when its columns
-    ``(a1k, p1k, a2k, p2k)`` are non-decreasing and its table is not larger
-    than the table of the swapped order, whose first row begins with
-    ``sorted(a2)``.  Where two columns of ``(a1, p1)`` tie, ``e`` ties too,
-    so ``a2`` must be non-decreasing there.  ``sorted(a2) < a1`` rejects,
-    ``sorted(a2) > a1`` accepts, and only a tie needs the key itself.
-    """
-    d1 = tuple(c1 * v for v in e)
-    d2 = tuple(c2 * v for v in e)
-    ranges1 = [range(max(0, -d1[k]), bound - max(0, d1[k]) + 1) for k in range(species)]
-    ranges2 = [range(max(0, -d2[k]), bound - max(0, d2[k]) + 1) for k in range(species)]
-    seconds = [(a2, tuple(sorted(a2))) for a2 in product(*ranges2)]
-    unchanged = [k for k in range(species) if e[k] == 0]
-    for a1 in product(*ranges1):
-        p1 = tuple(a + d for a, d in zip(a1, d1))
-        columns = list(zip(a1, p1))
-        if sorted(columns) != columns:
-            continue
-        ties = [k for k in range(species - 1) if columns[k] == columns[k + 1]]
-        absent = [k for k in unchanged if a1[k] == 0]  # the second reaction must use these
-        for a2, swapped in seconds:
-            if swapped < a1 or any(a2[k] > a2[k + 1] for k in ties) or not all(a2[k] for k in absent):
-                continue
-            p2 = tuple(a + d for a, d in zip(a2, d2))
-            pair = ((a1, p1), (a2, p2))
-            if swapped == a1 and (a2 == a1 and d2 == d1 or canonical_key(pair) != (a1 + p1, a2 + p2)):
-                continue
-            yield pair
-
-
-def _cells(max_coeff: int, directions):
-    """``(e, c1, c2)`` for each base direction and pair of multipliers."""
-    for e in directions:
-        cmax = max_coeff // max(abs(v) for v in e)
-        multipliers = [m for c in range(1, cmax + 1) for m in (c, -c)]
-        for c1 in multipliers:
-            for c2 in multipliers:
-                yield e, c1, c2
-
-
-def enumerate_bi_networks(species: int, max_coeff: int, directions=None):
-    """Yield canonical two-reaction networks with coefficients <= max_coeff.
-
-    Each isomorphism class (species relabeling, reaction swap) appears
-    exactly once, through its lexicographically minimal representative.
-    Passing ``directions`` restricts the sweep to those base directions.
-    """
-    dirs = directions if directions is not None else _primitive_directions(species, max_coeff)
-    names = _species_names(species)
-    for e, c1, c2 in _cells(max_coeff, dirs):
-        for pair in _cell_networks(species, max_coeff, e, c1, c2):
-            yield ReactionNetwork(names, tuple(Reaction(*rx) for rx in pair))
-
-
-def _cell_records(cell) -> list[tuple[str, str]]:
-    """``(tag, JSONL line)`` for each network of one cell.
-
-    The cell fixes the change vectors ``(c1*e, c2*e)``, so every network in
-    it has ``gammas = c1*e`` and lambda2 ``= c2/c1``, known without
-    elimination.  The sign profile depends only on ``(alphas, gammas,
-    lambda2)``, so within the cell it depends only on ``alphas``: the
-    capacity (the same ladder :func:`classify` runs) and the bi-arrow count
-    are computed once per distinct ``alphas`` and are exact for every
-    network sharing it.  The bi-arrow count is the number of species in
-    S1..S4 when the two reactions are opposed (one pair, embedding on each
-    such species) and 0 otherwise.
-    """
-    species, bound, e, c1, c2 = cell
-    names = _species_names(species)
-    lambda2 = Fraction(c2, c1)
-    gammas = tuple(c1 * v for v in e)
-    derived: dict[tuple[int, ...], tuple[str, str, int]] = {}  # alphas -> (tag, rule, ad)
-    texts: dict[tuple, str] = {}  # (reactant, product) -> .crn line
-    out = []
-    for first, second in _cell_networks(species, bound, e, c1, c2):
-        alphas = tuple(a - b for a, b in zip(first[0], second[0]))
-        fields = derived.get(alphas)
-        if fields is None:
-            profile = sign_profile(alphas, gammas, lambda2)
-            capacity = capacity_class_bi(profile)
-            ad = sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0
-            fields = derived[alphas] = (capacity.tag, capacity.rule, ad)
-        tag, rule, ad = fields
-        for rx in (first, second):
-            if rx not in texts:
-                texts[rx] = format_reaction(*rx, names)
-        record = {
-            "network": [texts[first], texts[second]],
-            "tag": tag,
-            "rule": rule,
-            "ad": ad,
-        }
-        out.append((tag, json.dumps(record, sort_keys=True)))
-    return out
-
-
 def cmd_enumerate(args) -> int:
+    """``enumerate``: the census's records, cell by cell in order, then a summary."""
     species, bound = args.species, args.max_coeff
-    cells = [(species, bound, *cell) for cell in _cells(bound, _primitive_directions(species, bound))]
+    work = list(cells(species, bound))
     counts: Counter = Counter()
-    total = 0
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    workers = min(args.jobs, len(work), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
-        batches = map(_cell_records, cells)
+        batches = map(cell_records, work)
         if workers > 1:
             from multiprocessing import Pool  # imported here so other commands do not load it
 
-            batches = stack.enter_context(Pool(workers)).imap(_cell_records, cells, chunksize=8)
+            batches = stack.enter_context(Pool(workers)).imap(cell_records, work, chunksize=8)
         for batch in batches:
             for tag, line in batch:
                 sink.write(line + "\n")
                 counts[tag] += 1
-                total += 1
         sink.flush()  # a failed write shows before the summary, not after it
+    total = sum(counts.values())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",

@@ -44,10 +44,6 @@ class EmptyEmbedding(CrnError):
     """Restricting to the kept species left no species or no reactions."""
 
 
-class EssentialEmpty(CrnError):
-    """No species is both rate-relevant and moved; nothing to reduce to."""
-
-
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
@@ -456,49 +452,4 @@ def embed(net: ReactionNetwork, keep) -> Embedding:
         network=ReactionNetwork(species, tuple(reactions)),
         kept_species=tuple(k + 1 for k in kept),
         dropped_reactions=tuple(dropped),
-    )
-
-
-@dataclass(frozen=True)
-class EssentialReduction:
-    """Embedding onto the essential species, plus what it preserves.
-
-    The reduced network keeps every reaction (essential species all move, so
-    no reaction can degenerate) and has the same number of positive steady
-    states on corresponding lines as the original, which is what makes the
-    reduction safe for counting.
-    """
-
-    network: ReactionNetwork
-    kept_species: tuple[int, ...]
-    dropped_reactions: tuple[int, ...]
-    note: str
-
-
-def reduce_to_essential(net: ReactionNetwork) -> EssentialReduction:
-    """Project the network onto the species that are both varying and moved.
-
-    Raises :class:`EssentialEmpty` when that set is empty; in that case the
-    steady-state count is degenerate (zero when every multiplier is
-    positive, a continuum otherwise) and no reduction is meaningful.
-    """
-    struct = one_dim_structure(net)
-    return essential_reduction(net, struct, essential_sets(net, struct))
-
-
-def essential_reduction(net: ReactionNetwork, struct: OneDimStructure, sets: EssentialSets) -> EssentialReduction:
-    """:func:`reduce_to_essential` from the structure and sets already at hand."""
-    eh = sorted(sets.eh)
-    if not eh:
-        if struct.t == len(struct.lambdas):
-            why = "all multipliers are positive, so there are no positive steady states"
-        else:
-            why = "rate balance is species-free, so steady states come as full lines"
-        raise EssentialEmpty(f"no species is both rate-relevant and moved; {why}")
-    emb = embed(net, eh)
-    return EssentialReduction(
-        network=emb.network,
-        kept_species=emb.kept_species,
-        dropped_reactions=emb.dropped_reactions,
-        note="positive steady-state counts per invariant line match the original network",
     )

@@ -25,7 +25,6 @@ from crn1d import (
     main,
     one_dim_structure,
     oracle_count,
-    reduce_to_essential,
     verify_witness,
     witness_three,
     witness_two_general,
@@ -161,8 +160,7 @@ def test_criterion_4_diagram_count_and_species_sets(ad_example, five_species, gh
     emb = embed(five_species, ["X1", "X2", "X3", "X4"])
     assert emb.network == gh
 
-    red = reduce_to_essential(five_species)
-    assert red.network == ad_example
+    assert classify(five_species).reduction.network == ad_example
 
 
 def test_criterion_5_randomized_capacity_checks():

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import crn1d
 from crn1d import (
+    census,
     ReactionNetwork,
     canonical_key,
     classify,
@@ -608,11 +609,37 @@ class TestEnumerate:
         assert pooled.read_bytes() == serial.read_bytes()
 
     def test_gb_is_enumerated(self, gb):
+        # gb's changes are multiples of (1, 1, 1): only those cells can hold it
         key = canonical_key(gb.reactions)
         assert any(
-            canonical_key(net.reactions) == key
-            for net in enumerate_bi_networks(3, 4, directions=[(1, 1, 1)])
+            canonical_key(parse_network("\n".join(json.loads(line)["network"])).reactions) == key
+            for cell in census.cells(3, 4) if cell[2] == (1, 1, 1)
+            for _, line in census.cell_records(cell)
         )
+
+    def test_output_routing(self, capsys, tmp_path):
+        # without --out the records go to stdout and the summary to stderr;
+        # with --out the summary goes to stdout
+        code, out, err = run(capsys, "enumerate", "--species", "1", "--max-coeff", "2")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 15 and all(set(r) == {"network", "tag", "rule", "ad"} for r in records)
+        summary = json.loads(err)
+        assert (summary["command"], summary["count"]) == ("enumerate", 15)
+        out_path = tmp_path / "nets.jsonl"
+        code, out, err = run(capsys, "enumerate", "--species", "1", "--max-coeff", "2", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == summary
+        assert out_path.read_text() == "".join(line + "\n" for line in map(json.dumps, records))
+        code, out, err = run(capsys, "enumerate", "--species", "1", "--max-coeff", "2", "--pretty",
+                             "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "enumerated 15 canonical networks (species 1, coefficients <= 2)",
+            "  finite-at-most-two: 8",
+            "  infinitely-many: 1",
+            "  zero: 6",
+        ]
 
     def test_matches_brute_force_census(self):
         # independent census: every 1-species reaction pair with
@@ -705,10 +732,11 @@ def test_module_form_runs_the_cli():
     assert json.loads(done.stdout)["command"] == "classify"
 
 
-def test_closed_pipe_exits_two_without_traceback():
+def _enumerate_into_closed_pipe(*flags):
+    """Exit code and stderr of ``enumerate`` at s=3 b=3 whose reader leaves after one line."""
     # the stream (about 2 MB) outgrows the pipe buffer, so the writer meets
     # the closed pipe long before it finishes
-    argv = [sys.executable, "-m", "crn1d", "enumerate", "--species", "3", "--max-coeff", "3"]
+    argv = [sys.executable, "-m", "crn1d", "enumerate", "--species", "3", "--max-coeff", "3", *flags]
     with subprocess.Popen(argv, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True) as proc:
         first = json.loads(proc.stdout.readline())
@@ -716,8 +744,19 @@ def test_closed_pipe_exits_two_without_traceback():
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert first["network"] == ["0 -> X3", "X1 + X2 -> X1 + X2 + X3"]
+    return code, err
+
+
+def test_closed_pipe_exits_two_without_traceback():
+    code, err = _enumerate_into_closed_pipe()
     assert code == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_closed_pipe_with_workers_exits_two_without_traceback():
+    code, err = _enumerate_into_closed_pipe("--jobs", "2")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err  # one line, so no traceback
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -7,17 +7,16 @@ import pytest
 from crn1d import (
     Reaction,
     ReactionNetwork,
+    classify,
     conservation_constants,
     embed,
     essential_sets,
     format_network,
     one_dim_structure,
     parse_network,
-    reduce_to_essential,
 )
 from crn1d.network import (
     EmptyEmbedding,
-    EssentialEmpty,
     NotOneDimensional,
     ParseError,
     ZeroBaseDirection,
@@ -245,11 +244,11 @@ class TestEmbed:
 
 class TestReduceToEssential:
     def test_five_species_reduces_to_core(self, five_species, ad_example):
-        red = reduce_to_essential(five_species)
+        red = classify(five_species).reduction
         assert red.network == ad_example
         kept = {five_species.species[i - 1] for i in red.kept_species}
         assert kept == {"X1", "X2", "X3"}
 
     def test_empty_core(self, eh_empty):
-        with pytest.raises(EssentialEmpty):
-            reduce_to_essential(eh_empty)
+        # no species is both rate-relevant and moved: nothing to reduce to
+        assert classify(eh_empty).reduction is None
