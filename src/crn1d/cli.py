@@ -37,7 +37,6 @@ from .network import (
     NotOneDimensional,
     ParseError,
     ReactionNetwork,
-    ZeroBaseDirection,
     format_network,
     pair_sign_data,
     parse_network,
@@ -612,7 +611,7 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotOneDimensional, ZeroBaseDirection) as exc:
+    except NotOneDimensional as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GoalUnattainable as exc:

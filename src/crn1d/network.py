@@ -36,10 +36,6 @@ class NotOneDimensional(CrnError):
     """The change vectors of the network do not lie on a single line."""
 
 
-class ZeroBaseDirection(CrnError):
-    """A reaction changes nothing; cannot happen for validated networks."""
-
-
 class EmptyEmbedding(CrnError):
     """Restricting to the kept species left no species or no reactions."""
 
@@ -325,19 +321,13 @@ def one_dim_structure(net: ReactionNetwork) -> OneDimStructure:
     """Check collinearity of all change vectors and extract (gamma, lambda, t).
 
     Raises :class:`NotOneDimensional` when some change vector is not a
-    rational multiple of the first reaction's, and :class:`ZeroBaseDirection`
-    on an all-zero change vector (unreachable for validated reactions, kept
-    as a guard for hand-built data).
+    rational multiple of the first reaction's.
     """
     changes = [rx.change for rx in net.reactions]
     base = changes[0]
-    if not any(base):
-        raise ZeroBaseDirection("reaction 1 has a zero change vector")
     b = next(k for k, v in enumerate(base) if v != 0)
     lambdas = []
     for j, delta in enumerate(changes):
-        if not any(delta):
-            raise ZeroBaseDirection(f"reaction {j + 1} has a zero change vector")
         lam = Fraction(delta[b], base[b])
         if lam == 0 or any(delta[k] != lam * base[k] for k in range(len(base))):
             raise NotOneDimensional(

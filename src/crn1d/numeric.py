@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .network import CrnError, ReactionNetwork, conservation_constants, one_dim_structure
 
@@ -321,33 +321,64 @@ def bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
     return z
 
 
-def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> float:
-    """The zero of g' in the isolating interval ``(a, b)``, where ``p(b) != 0``.
+def _isolate(p: list[int], lo: Fraction | None, hi: Fraction | None) -> Iterator[tuple[Fraction, Fraction]]:
+    """Sorted intervals ``(a, b]`` in ``(lo, hi]``, one root of the square-free
+    ``p`` (degree >= 1) in each; a ``None`` end (not both) is the Cauchy bound.
 
-    Float g' of opposite signs at the ends hands over to the bracketed
-    solver.  Otherwise (an end at a pole or at a root of ``p``, a root of
-    even multiplicity, cancellation in a tail) halve exactly and retry.
+    By Sturm, ``(a, b]`` holds ``variations(a) - variations(b)`` roots: halve until one each.
     """
+    chain = _sturm_chain(p)
+    bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # Cauchy: every root has |z| < bound
+    lo = Fraction(min(-bound, hi - 1) if lo is None else lo)
+    hi = Fraction(max(bound, lo + 1) if hi is None else hi)
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            yield a, b
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            vm = _variations(chain, mid)
+            stack += [(mid, b, vm, vb), (a, mid, va, vm)]
+
+
+def _narrow(p: list[int], a: Fraction, b: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """Yield the isolating interval ``(a, b]`` of ``p`` and its exact halvings
+    by the sign of ``p`` until the float ends are adjacent; an end or midpoint
+    at an exact root ``r`` ends it with ``(r, r)``."""
     sign_b = _sign_at(p, b)
+    if not sign_b:
+        a = b
     while True:
-        fa, fb = float(a), float(b)
-        if fb <= math.nextafter(fa, math.inf):
-            return fa
-        if _sign_at(p, a):
-            try:
-                ga, gb = eval_g_slope(gp, fa), eval_g_slope(gp, fb)
-            except OutOfDomain:
-                ga = gb = 0.0
-            if min(ga, gb) < 0.0 < max(ga, gb):
-                return bracketed_root(lambda z: eval_g_slope(gp, z), lambda z: eval_g(gp, z)[1:], fa, fb)
+        yield a, b
+        if float(b) <= math.nextafter(float(a), math.inf):
+            return
         mid = (a + b) / 2
         sign_mid = _sign_at(p, mid)
-        if sign_mid == 0:
-            return float(mid)
-        if sign_mid == sign_b:
+        if not sign_mid:
+            a = b = mid
+        elif sign_mid == sign_b:
             b = mid
         else:
             a = mid
+
+
+def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> float:
+    """The zero of g' in the isolating interval ``(a, b]`` of ``p``.
+
+    The first interval from ``_narrow`` with float g' of opposite signs at its
+    ends goes to the bracketed solver; without one (an end at a pole or a root
+    of ``p``, even multiplicity, cancellation in a tail) the last lower end."""
+    for a, b in _narrow(p, a, b):
+        fa, fb = float(a), float(b)
+        if fb > math.nextafter(fa, math.inf) and _sign_at(p, a):
+            try:
+                ga, gb = eval_g_slope(gp, fa), eval_g_slope(gp, fb)
+            except OutOfDomain:
+                continue
+            if min(ga, gb) < 0.0 < max(ga, gb):
+                return bracketed_root(lambda z: eval_g_slope(gp, z), lambda z: eval_g(gp, z)[1:], fa, fb)
+    return fa
 
 
 def critical_points(gp: GProblem) -> tuple[float, ...]:
@@ -362,23 +393,7 @@ def critical_points(gp: GProblem) -> tuple[float, ...]:
     p = _derivative_numerator(gp)
     if len(p) == 1:
         return ()
-    chain = _sturm_chain(p)
-    bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # Cauchy: every root has |z| < bound
-    lo, hi = gp.lower_exact, gp.upper_exact
-    lo = Fraction(min(-bound, hi - 1) if lo is None else lo)
-    hi = Fraction(max(bound, lo + 1) if hi is None else hi)
-    # (a, b] holds variations(a) - variations(b) roots; halve until one each
-    out: list[float] = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb == 1:
-            out.append(float(b) if _sign_at(p, b) == 0 else _polish_critical(gp, p, a, b))
-        elif va - vb > 1:
-            mid = (a + b) / 2
-            vm = _variations(chain, mid)
-            stack += [(mid, b, vm, vb), (a, mid, va, vm)]
-    return tuple(out)
+    return tuple(_polish_critical(gp, p, a, b) for a, b in _isolate(p, gp.lower_exact, gp.upper_exact))
 
 
 @dataclass(frozen=True)

@@ -463,8 +463,6 @@ def _endpoint_points(net: ReactionNetwork, struct: OneDimStructure, k3: int, fli
         ratio = Fraction(gammas[k], gammas[b])
         y[k] = ratio * (yb + r)
         z[k] = ratio * (zb + r)
-    if any(v <= 0 for v in y) or any(v <= 0 for v in z):
-        return None
     return tuple(y), tuple(z)
 
 
@@ -488,12 +486,8 @@ def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdRepor
     lam_exact = struct.lambdas
     lam = [float(v) for v in lam_exact]
     opposed = struct.opposed_pairs()
-    last_error = None
     for flip in (False, True):
-        points = _endpoint_points(net, struct, k3, flip)
-        if points is None:
-            continue
-        y, z = points
+        y, z = _endpoint_points(net, struct, k3, flip)
         gaps = []
         for (i, j) in opposed:
             alphas, _gammas = pair_sign_data(net, i, j)
@@ -510,7 +504,7 @@ def _two_by_endpoints(net: ReactionNetwork, struct: OneDimStructure, ad: AdRepor
         if witness is not None:
             return witness
         last_error = CrnError("endpoint matching did not verify")
-    raise last_error or CrnError("no positive endpoint construction available")
+    raise last_error
 
 
 def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | None:
@@ -532,7 +526,6 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
         return None
     lo_t, hi_t = 0.0, 1.0
     f_lo = f1
-    kappa = None
     for _ in range(200):
         mid = 0.5 * (lo_t + hi_t)
         kappa = [(1 - mid) * a + mid * b for a, b in zip(k1, k2)]
@@ -545,7 +538,7 @@ def _match_and_polish(net, struct, lam_exact, lam, y, z, neg, pos) -> Witness | 
             hi_t = mid
         if hi_t - lo_t <= 1e-17:
             break
-    if kappa is None or abs(_log_ratio_gap(net, lam, kappa, y, z)) > 1e-6:
+    if abs(_log_ratio_gap(net, lam, kappa, y, z)) > 1e-6:
         raise CrnError("ratio-matching bisection left a visible gap")
     up, down = _up_down(net, lam, kappa, z)
     kappa = [kappa[j] / up if lam[j] > 0 else kappa[j] / down for j in range(m)]

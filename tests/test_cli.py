@@ -243,12 +243,17 @@ class TestVerifyCommand:
         assert json.loads(out)["verification"]["passed"] is True
 
     def test_failing_witness_exits_one(self, capsys, tmp_path):
-        blob = {"kappa": [1, 2], "c": [0], "states": [[1, 1]]}
         path = tmp_path / "w.json"
-        path.write_text(json.dumps(blob))
-        code, out, _ = run(capsys, "verify", crn("ga"), "--witness", str(path))
-        assert code == 1
-        assert json.loads(out)["verification"]["passed"] is False
+        # a state off the balance, then one with a zero coordinate
+        for state in ([1, 1], [0, 1]):
+            path.write_text(json.dumps({"kappa": [1, 2], "c": [0], "states": [state]}))
+            code, out, _ = run(capsys, "verify", crn("ga"), "--witness", str(path))
+            assert code == 1
+            doc = json.loads(out)["verification"]
+            assert doc["passed"] is False
+        check = doc["states"][0]
+        assert check["positive"] is False
+        assert check["rate_residual"] == check["conservation_residual"] == {"float64": "inf"}
 
     @pytest.mark.parametrize(
         "blob",
@@ -259,6 +264,8 @@ class TestVerifyCommand:
             json.dumps({"kappa": [1, 1], "c": [0], "states": [[True, 1]]}),
             json.dumps({"kappa": [1], "c": [0], "states": [[1, 1]]}),
             json.dumps({"kappa": [0, 1], "c": [0], "states": [[1, 1]]}),
+            pytest.param(json.dumps({"witness": [1, 2]}), id="witness-not-an-object"),
+            pytest.param(json.dumps({"kappa": [1, 1], "c": [0], "states": [1]}), id="state-not-a-list"),
             pytest.param("[" * 100_000, id="deep-nesting"),
             pytest.param(b"\xff\xfe not utf-8", id="not-utf8"),
         ],
@@ -403,9 +410,11 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_enumerate_bounds_checked(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--species", "9", "--max-coeff", "2"])
-        assert exc.value.code == 2
+        for flag, value in (("--species", "9"), ("--max-coeff", "5"), ("--jobs", "0")):
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate", "--species", "2", "--max-coeff", "2", flag, value])  # the last value counts
+            assert exc.value.code == 2
+            assert f"error: {flag} must be" in capsys.readouterr().err
 
     def test_one_parser_serves_every_command(self, capsys):
         """A usage error, then classify, then witness through the parser the

@@ -19,7 +19,6 @@ from crn1d.network import (
     EmptyEmbedding,
     NotOneDimensional,
     ParseError,
-    ZeroBaseDirection,
 )
 
 from conftest import load
@@ -63,6 +62,14 @@ class TestParse:
             ("X1 => X2", "unexpected character"),
             ("X1 -> X2 -> X3", "more than one"),
             ("", "no reactions"),
+            ("1.5 X1 -> X2", "must be integers"),
+            ("X1 -> -1 X2", "negative coefficients"),
+            (" -> X1", "empty complex"),
+            ("2 -> X1", "bare number"),
+            ("X1 + 2 -> X2", "expected a species name"),
+            ("X1 X2 -> X3", "between terms"),
+            ("X1 + -> X2", "dangling"),
+            ("X1 + X2", "missing '->'"),
         ],
     )
     def test_rejects(self, text, fragment):
@@ -80,10 +87,12 @@ class TestParse:
             parse_network("\u00b2 X1 -> X1")
 
     def test_error_carries_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_network("X1 -> 2 X1\nX2 => X1")
-        assert err.value.line == 2
-        assert err.value.column == 4
+        # the last two point past the last token: a missing name, a missing arrow
+        for text, column in (("X2 => X1", 4), ("X1 + 2 -> X2", 7), ("X1 + X2", 8)):
+            with pytest.raises(ParseError) as err:
+                parse_network("X1 -> 2 X1\n" + text)
+            assert err.value.line == 2
+            assert err.value.column == column
 
     @pytest.mark.parametrize(
         "name",
@@ -149,16 +158,6 @@ class TestOneDimStructure:
     def test_rejects_two_dimensional(self):
         net = parse_network("X1 -> 2 X1\nX2 -> 2 X2")
         with pytest.raises(NotOneDimensional):
-            one_dim_structure(net)
-
-    def test_rejects_zero_change(self):
-        net = ReactionNetwork.__new__(ReactionNetwork)
-        object.__setattr__(net, "species", ("X1",))
-        rx = Reaction.__new__(Reaction)
-        object.__setattr__(rx, "reactant", (1,))
-        object.__setattr__(rx, "product", (1,))
-        object.__setattr__(net, "reactions", (rx,))
-        with pytest.raises(ZeroBaseDirection):
             one_dim_structure(net)
 
 

@@ -22,6 +22,7 @@ from crn1d import (
     parse_network,
     verify_witness,
 )
+from crn1d.numeric import _narrow
 
 from support import CLUSTERED, DOUBLE_ZERO, END_ROOT, FLAT_TAIL, exact_critical_count
 
@@ -130,6 +131,15 @@ class TestCriticalPoints:
     def test_zero_at_an_end_is_not_a_point(self):
         # the numerator of g' vanishes at the upper end z = 1
         assert critical_points(END_ROOT) == ()
+
+    def test_narrowing_ends(self):
+        # 1/3 has no binary64 form: the halvings stop with it between two neighbours
+        *_, (a, b) = _narrow([-1, 3], Fraction(0), Fraction(1))
+        assert a < Fraction(1, 3) < b
+        assert float(a) < float(b) == math.nextafter(float(a), math.inf)
+        # a root at a midpoint (1/4) or at the upper end (1) ends them there
+        for p, root in (([-1, 4], Fraction(1, 4)), ([-1, 1], Fraction(1))):
+            assert list(_narrow(p, Fraction(0), Fraction(1)))[-1] == (root, root)
 
     def test_constant_g(self):
         gp = GProblem((1, -1), (1, 1), (1, 1))

@@ -7,7 +7,7 @@ from functools import cached_property
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from crn1d import (
     GProblem,
@@ -29,7 +29,7 @@ from crn1d import (
     parse_network,
     sign_profile,
 )
-from crn1d.numeric import _derivative_numerator, _sturm_chain
+from crn1d.numeric import _derivative_numerator, _isolate, _narrow, _sturm_chain
 
 from conftest import bi_profile
 from support import (
@@ -38,6 +38,9 @@ from support import (
     DOUBLE_ZERO,
     END_ROOT,
     FLAT_TAIL,
+    _poly_mul,
+    _roots_in_window,
+    _sign_at,
     brute_force_key,
     clustered_gproblem,
     count_line_states,
@@ -403,6 +406,41 @@ def assert_chain_matches_euclid(gp):
             assert _positive_multiple(q, ref_q), (q, ref_q)
 
 
+@st.composite
+def square_free_polys(draw):
+    """Distinct rational roots and pairs of irrational ones (z^2 - c, c not
+    a square), maybe with z^2 + 1 and a scale: square-free, degree >= 1."""
+    p = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for r in draw(st.sets(st.fractions(min_value=-20, max_value=20, max_denominator=8), max_size=5)):
+        p = _poly_mul(p, [-r.numerator, r.denominator])
+    for c in draw(st.sets(st.integers(min_value=2, max_value=30).filter(lambda c: math.isqrt(c) ** 2 != c),
+                          max_size=2)):
+        p = _poly_mul(p, [-c, 0, 1])
+    if draw(st.booleans()):
+        p = _poly_mul(p, [1, 0, 1])
+    assume(len(p) > 1)
+    return p
+
+
+def assert_isolates(p, lo, hi) -> int:
+    """``_isolate``'s intervals are sorted, disjoint and inside the window,
+    each holds one root by the independent counter in ``support`` and each
+    narrows to adjacent floats or an exact root; returns their number."""
+    intervals = list(_isolate(p, lo, hi))
+    for (a, b), (c, _d) in zip(intervals, intervals[1:]):
+        assert b <= c
+    for a, b in intervals:
+        assert a < b and (lo is None or lo <= a) and (hi is None or b <= hi)
+        assert _roots_in_window(p, a, b) + (_sign_at(p, b) == 0) == 1, (p, a, b)
+        halvings = list(_narrow(p, a, b))
+        for (a0, b0), (a1, b1) in zip(halvings, halvings[1:]):
+            assert a0 <= a1 <= b1 <= b0 and (a1 == b1 or b1 - a1 == (b0 - a0) / 2)
+        a, b = halvings[-1]
+        assert _sign_at(p, b) == 0 if a == b else float(b) <= math.nextafter(float(a), math.inf)
+        assert a == b or _roots_in_window(p, a, b) + (_sign_at(p, b) == 0) == 1
+    return len(intervals)
+
+
 class TestCriticalPoints:
     @given(seeds)
     def test_count_is_exact(self, seed):
@@ -425,6 +463,23 @@ class TestCriticalPoints:
         rng = Random(seed)
         assert_chain_matches_euclid(random_gproblem(rng))
         assert_chain_matches_euclid(clustered_gproblem(rng)[0])
+
+    @given(seeds)
+    def test_isolation_of_the_numerator(self, seed):
+        gp = random_gproblem(Random(seed))
+        p = _derivative_numerator(gp)
+        count = assert_isolates(p, gp.lower_exact, gp.upper_exact) if len(p) > 1 else 0
+        assert count == exact_critical_count(gp)
+
+    @given(
+        square_free_polys(),
+        st.one_of(st.none(), st.fractions(min_value=-25, max_value=25, max_denominator=6)),
+        st.one_of(st.none(), st.fractions(min_value=-25, max_value=25, max_denominator=6)),
+    )
+    def test_isolation_of_square_free_polynomials(self, p, lo, hi):
+        assume((lo, hi) != (None, None) and (lo is None or hi is None or lo < hi))
+        ends = hi is not None and _sign_at(p, hi) == 0
+        assert assert_isolates(p, lo, hi) == _roots_in_window(p, lo, hi) + ends
 
 
 class TestRecipes:
