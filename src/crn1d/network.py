@@ -232,7 +232,7 @@ def parse_network(text: str) -> ReactionNetwork:
             continue
         arrows = [t for t in tokens if t[0] == "ARROW"]
         if not arrows:
-            raise ParseError("missing '->'", lineno, len(line.rstrip()) + 1)
+            raise ParseError("missing '->'", lineno, tokens[-1][2] + len(tokens[-1][1]))
         if len(arrows) > 1:
             raise ParseError("more than one '->'", lineno, arrows[1][2])
         split = tokens.index(arrows[0])

@@ -135,6 +135,16 @@ class GProblem:
                 groups[p] = groups.get(p, 0) + a
         return tuple(sorted(groups.items()))
 
+    @cached_property
+    def critical_points(self) -> tuple[float, ...]:
+        """What :func:`critical_points` returns."""
+        if is_constant(self):
+            raise ConstantG("every pole group of g' has zero residue")
+        p = _derivative_numerator(self)
+        if len(p) == 1:
+            return ()
+        return tuple(_polish_critical(self, p, a, b) for a, b in _isolate(p, self.lower_exact, self.upper_exact))
+
 
 def is_constant(gp: GProblem) -> bool:
     """g is constant iff every pole group of g' has zero residue."""
@@ -382,18 +392,14 @@ def _polish_critical(gp: GProblem, p: list[int], a: Fraction, b: Fraction) -> fl
 
 
 def critical_points(gp: GProblem) -> tuple[float, ...]:
-    """Zeros of g' inside the interval, in increasing order.
+    """Zeros of g' inside the interval, in increasing order, once per ``GProblem``.
 
     Counted and isolated exactly by an integer Sturm chain of the numerator
     of g' (the rational chain made primitive), then polished in binary64.
-    Raises :class:`ConstantG` when g' vanishes identically (all residues 0).
+    Raises :class:`ConstantG` when g' vanishes identically (all residues 0),
+    on every call: an exception is not cached.
     """
-    if is_constant(gp):
-        raise ConstantG("every pole group of g' has zero residue")
-    p = _derivative_numerator(gp)
-    if len(p) == 1:
-        return ()
-    return tuple(_polish_critical(gp, p, a, b) for a, b in _isolate(p, gp.lower_exact, gp.upper_exact))
+    return gp.critical_points
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ capacity class: it picks exact rational offsets by the class-driven recipes
 (balancing the first derivative of the scalar reduction at the origin while
 forcing the right curvature), picks a level K between the origin's critical
 value and an adjacent one, confirms at least three crossings, and converts
-the roots of that confirming solve back to positive states.
+the roots of that confirming solve (of a second one where weightless species
+were masked) back to positive states.
 
 ``witness_two_general`` works for any reaction count once the sufficient
 pair certificate and the pair-diagram test hold.  It first tries to lift a
@@ -53,6 +54,7 @@ from .network import CrnError, OneDimStructure, ReactionNetwork, conservation_co
 from .numeric import (
     GProblem,
     NumericOverflow,
+    RootSet,
     bracketed_root,
     critical_points,
     eval_g,
@@ -197,14 +199,14 @@ def _level_ladder(g0: float, side: float):
         yield g0 + delta if side > 0 else g0 - delta
 
 
-def choose_K_three(gp: GProblem) -> tuple[float, tuple[float, ...]]:
-    """A level with at least three confirmed crossings, and those crossings.
+def choose_K_three(gp: GProblem) -> tuple[float, RootSet]:
+    """A level with at least three confirmed crossings, and its solve.
 
     Expects a critical point at the origin with nonzero curvature (what the
     offset recipes guarantee).  Prefers the midpoint between the origin's
     value and an adjacent critical value; falls back to a shrinking offset
-    from the origin's value.  Returns ``(K, roots)`` from the solve that
-    confirmed the level.
+    from the origin's value.  Returns ``(K, rs)``, where ``rs`` is the
+    ``find_roots`` solve that confirmed the level.
     """
     g0, g1_0, g2_0 = eval_g(gp, 0.0)
     scale1 = sum(abs(a * g) / d for a, g, d in gp.terms if g != 0)
@@ -223,7 +225,7 @@ def choose_K_three(gp: GProblem) -> tuple[float, tuple[float, ...]]:
     for K in itertools.chain((0.5 * (g0 + v) for v in values), _level_ladder(g0, g2_0)):
         rs = find_roots(gp, K)
         if len(rs.roots) >= 3 and not rs.suspected_degenerate:
-            return K, rs.roots
+            return K, rs
     raise CrnError("no level produced three confirmed crossings")
 
 
@@ -238,13 +240,14 @@ def _level_rate(K: float, num: float, den: float) -> float:
     return rate
 
 
-def _pair_line(alphas, gammas, d0, pick):
+def _pair_line(alphas, gammas, d0, pick, clear=lambda roots: roots):
     """``(GProblem, K, RootSet)`` of ``g = K`` on an opposed pair's line.
 
     Moving species with zero alpha do not change g: they are masked as
-    fixed for ``pick(probe)``, which chooses ``(K, roots)``, then their
-    offsets are widened until their poles clear ``roots`` and ``g = K`` is
-    solved once more on the full line.
+    fixed for ``pick(probe)``, which returns ``(K, RootSet)``.  With none
+    masked the probe is the line and that solve is the answer.  Otherwise
+    their offsets are widened until their poles clear ``clear(roots)`` and
+    ``g = K`` is solved once more on the full line.
     """
     passive = [k for k, (a, g) in enumerate(zip(alphas, gammas)) if a == 0 and g != 0]
     probe = GProblem(
@@ -252,8 +255,10 @@ def _pair_line(alphas, gammas, d0, pick):
         tuple(0 if k in passive else g for k, g in enumerate(gammas)),
         tuple(Fraction(1) if k in passive else d for k, d in enumerate(d0)),
     )
-    K, roots = pick(probe)
-    w = 2 * (1 + math.ceil(max(abs(float(r)) for r in roots)))
+    K, rs = pick(probe)
+    if not passive:
+        return probe, K, rs
+    w = 2 * (1 + math.ceil(max(abs(float(r)) for r in clear(rs.roots))))
     d = list(d0)
     for k in passive:
         d[k] = Fraction(abs(gammas[k]) * w)
@@ -347,15 +352,15 @@ def _lift_pair(net: ReactionNetwork, struct: OneDimStructure, i: int, j: int) ->
     def pick(probe):
         for K in _level_ladder(eval_g_value(probe, 0.0), g2_sign):
             try:
-                pair = _straddle(find_roots(probe, K).roots)
+                rs = find_roots(probe, K)
             except CrnError:
                 continue
-            if pair is not None:
-                return K, pair
+            if _straddle(rs.roots) is not None:
+                return K, rs
         raise CrnError("no level has crossings on both sides of the origin")
 
     try:
-        gp, K, rs = _pair_line(alphas, pair_gammas, _weights_to_offsets(pair_gammas, weights), pick)
+        gp, K, rs = _pair_line(alphas, pair_gammas, _weights_to_offsets(pair_gammas, weights), pick, _straddle)
     except CrnError:
         return None
     d_final = gp.offsets

@@ -51,3 +51,4 @@ eh_empty = _network_fixture("eh_empty")
 example42 = _network_fixture("example42")
 free_balance = _network_fixture("free_balance")
 pair_excluded = _network_fixture("pair_excluded")
+lift_passive = _network_fixture("lift_passive")

@@ -94,6 +94,12 @@ class TestParse:
             assert err.value.line == 2
             assert err.value.column == column
 
+    def test_missing_arrow_column_skips_comment(self):
+        # one past the last token, as on the same line without the comment
+        with pytest.raises(ParseError, match="missing '->'") as err:
+            parse_network("X1 -> X2\nX1 + X2  # no arrow\n")
+        assert (err.value.line, err.value.column) == (2, 8)
+
     @pytest.mark.parametrize(
         "name",
         ["ga", "gb", "gc", "gd", "ad_example", "five_species", "w1", "w2", "nb"],

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from crn1d import (
+    ConstantG,
+    CrnError,
     GProblem,
     ad_count,
     canonical_key,
@@ -28,7 +30,9 @@ from crn1d import (
     oracle_count,
     parse_network,
     sign_profile,
+    witness_three,
 )
+from crn1d import numeric
 from crn1d.numeric import _derivative_numerator, _isolate, _narrow, _sturm_chain
 
 from conftest import bi_profile
@@ -336,12 +340,52 @@ class TestGProblemCache:
             "upper": float(min(highs)) if highs else math.inf,
             "terms": tuple((a, g, float(d)) for a, g, d in zip(warm.alphas, warm.gammas, warm.offsets)),
             "pole_groups": tuple(sorted(residues.items())),
+            "critical_points": critical_points(GProblem(warm.alphas, warm.gammas, warm.offsets)),
         }
         cached = {name for name, v in vars(GProblem).items() if isinstance(v, cached_property)}
         assert cached == set(expected)
         for gp in (warm, fresh, thawed):
             for name, value in expected.items():
                 assert getattr(gp, name) == value, name
+
+    def test_constant_g_raises_on_every_call(self):
+        gp = GProblem((1, -1), (1, 1), (1, 1))  # one pole, residue 0
+        for _ in range(2):
+            with pytest.raises(ConstantG):
+                critical_points(gp)
+            with pytest.raises(ConstantG):
+                find_roots(gp, 0.0)
+        assert "critical_points" not in vars(gp)
+
+    def test_one_isolation_per_line_in_witness_three(self, gb, monkeypatch):
+        report = classify(gb)
+        lines = []
+        derivative_numerator = numeric._derivative_numerator
+
+        def counted(gp):
+            lines.append(gp)
+            return derivative_numerator(gp)
+
+        monkeypatch.setattr(numeric, "_derivative_numerator", counted)
+        witness_three(report)
+        assert lines
+        assert len(lines) == len(set(lines))
+
+    @given(seeds)
+    def test_warm_and_cold_solves_agree(self, seed):
+        rng = Random(seed)
+        warm = random_gproblem(rng)
+        K = eval_g_value(warm, 0.0) + rng.uniform(-2.0, 2.0)
+
+        def solve(gp):
+            try:
+                return repr(find_roots(gp, K))
+            except CrnError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        cold = solve(GProblem(warm.alphas, warm.gammas, warm.offsets))
+        critical_points(warm)
+        assert solve(warm) == cold
 
 
 def _euclid_divmod(num, den):

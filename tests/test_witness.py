@@ -21,6 +21,7 @@ from crn1d import (
     witness_three,
     witness_two_general,
 )
+from crn1d.witness import _balanced_pair_weights
 
 from conftest import bi_profile
 from support import count_line_states
@@ -95,9 +96,8 @@ class TestChooseK:
     def test_three_confirmed_crossings(self, gb):
         prof = profile_of(gb)
         gp = GProblem(prof.alphas, prof.gammas, offsets_of(prof))
-        K, roots = choose_K_three(gp)
-        rs = find_roots(gp, K)
-        assert roots == rs.roots
+        K, rs = choose_K_three(gp)
+        assert rs == find_roots(gp, K)
         assert len(rs.roots) >= 3
         assert rs.suspected_degenerate == ()
 
@@ -111,7 +111,8 @@ class TestAssemble:
         """``witness_three`` packages the roots of its own confirming solve."""
         w = witness_three(classify(gb))
         gp = GProblem((2, 1, -2), (1, 1, 1), w.offsets)
-        K, roots = choose_K_three(gp)
+        K, rs = choose_K_three(gp)
+        roots = rs.roots
         assert (w.level, w.z_roots) == (K, roots)
         assert w.z_roots == tuple(sorted(w.z_roots))
         assert w.kappa[1] == pytest.approx(math.exp(K), rel=1e-15)
@@ -173,6 +174,23 @@ class TestWitnessThree:
         assert not isinstance(caught.value, GoalUnattainable)
 
 
+class TestBalancedPairWeights:
+    def test_jitter_restores_curvature(self):
+        # equal weights per sign class leave g''(0) = 0 here; the jitter breaks the tie
+        alphas, gammas = (2, -2, 1, -1), (1, 1, 1, 1)
+        weights, sign = _balanced_pair_weights(alphas, gammas)
+        assert sign == -1
+        assert len(set(weights.values())) > 1
+        # with w_k = |gamma_k| / d_k: g'(0) = sum alpha_k sgn(gamma_k) w_k, g''(0) = -sum alpha_k w_k^2
+        g1 = sum(alphas[k] * (1 if gammas[k] > 0 else -1) * w for k, w in weights.items())
+        g2 = -sum(alphas[k] * w * w for k, w in weights.items())
+        assert g1 == 0
+        assert g2 < 0
+
+    def test_no_jitter_curves(self):
+        assert _balanced_pair_weights((1, -1), (1, 1)) == (None, 0)
+
+
 class TestWitnessTwo:
     def test_w1_lifted_pair(self, w1):
         w = witness_two_general(classify(w1))
@@ -181,6 +199,16 @@ class TestWitnessTwo:
         assert w.kappa[0] == 1.0
         assert verify_witness(w1, w, 1e-9).passed
         assert count_line_states(w1, w.kappa, w.c) >= 2
+
+    def test_passive_offset_clears_the_straddling_pair(self, lift_passive):
+        """Pair 1 and 3 gives X3 no weight, so X3 is masked for the level
+        search and its offset widened after it: from the two roots straddling
+        the origin (4), not from every root of the masked line (6)."""
+        w = witness_two_general(classify(lift_passive))
+        assert w.offsets == (4, 2, 4, 2, 8)
+        assert w.z_roots == (-0.48443041354816097, 0.6590824002605145)
+        assert w.kappa == (1.0, 0.01, 1980.15235608255)
+        assert verify_witness(lift_passive, w, 1e-9).passed
 
     def test_gb_two_states(self, gb):
         w = witness_two_general(classify(gb))
