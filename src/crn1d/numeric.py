@@ -89,8 +89,8 @@ class GProblem:
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "offsets", offsets)
         for a, g, d in zip(alphas, gammas, offsets):
-            if g == 0 and a != 0 and d <= 0:
-                raise EmptyInterval("a fixed species with weight needs a positive offset")
+            if g == 0 and d <= 0:
+                raise EmptyInterval(f"a fixed species {'with' if a else 'without'} weight needs a positive offset")
         lo = self.lower_exact
         hi = self.upper_exact
         if lo is not None and hi is not None and lo >= hi:
@@ -129,21 +129,22 @@ class GProblem:
     @cached_property
     def pole_groups(self) -> tuple[tuple[Fraction, int], ...]:
         """Exact poles of g' with their residues (sum of alphas sharing the pole)."""
-        groups: dict[Fraction, int] = {}
+        groups: dict[tuple[int, int], list] = {}  # keyed on the reduced pair: no Fraction hashing
         for a, p in zip(self.alphas, self.poles):
             if p is not None:
-                groups[p] = groups.get(p, 0) + a
-        return tuple(sorted(groups.items()))
+                groups.setdefault((p.numerator, p.denominator), [p, 0])[1] += a
+        return tuple(sorted((p, r) for p, r in groups.values()))
 
     @cached_property
     def critical_points(self) -> tuple[float, ...]:
         """What :func:`critical_points` returns."""
         if is_constant(self):
             raise ConstantG("every pole group of g' has zero residue")
-        p = _derivative_numerator(self)
+        chain = _derivative_numerator(self)
+        p = chain[0]
         if len(p) == 1:
             return ()
-        return tuple(_polish_critical(self, p, a, b) for a, b in _isolate(p, self.lower_exact, self.upper_exact))
+        return tuple(_polish_critical(self, p, a, b) for a, b in _isolate(chain, self.lower_exact, self.upper_exact))
 
 
 def is_constant(gp: GProblem) -> bool:
@@ -151,41 +152,51 @@ def is_constant(gp: GProblem) -> bool:
     return all(res == 0 for _p, res in gp.pole_groups)
 
 
-def _arguments(gp: GProblem, z) -> list[tuple[int, int, float]]:
-    """``(alpha, gamma, gamma*z + offset)`` of each species with a nonzero
-    alpha; raises OutOfDomain off the interval or where any argument is not
-    positive."""
+def _in_domain(gp: GProblem, z) -> float:
+    """``float(z)`` inside the interval.  The reads below then walk ``gp.terms``
+    once: every argument, weighted or not, must be positive."""
     z = float(z)
     if not (gp.lower < z < gp.upper):
         raise OutOfDomain(f"z={z} outside ({gp.lower}, {gp.upper})")
-    out = []
-    for a, g, d in gp.terms:
-        arg = g * z + d
-        if arg <= 0.0:
-            raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
-        if a != 0:
-            out.append((a, g, arg))
-    return out
+    return z
 
 
 def eval_g(gp: GProblem, z) -> tuple[float, float, float]:
     """Evaluate (g, g', g'') at ``z``; raises OutOfDomain off the interval."""
-    args = _arguments(gp, z)
-    return (
-        math.fsum([a * math.log(arg) for a, _g, arg in args]),
-        math.fsum([a * g / arg for a, g, arg in args]),
-        -math.fsum([a * g * g / (arg * arg) for a, g, arg in args]),
-    )
+    z = _in_domain(gp, z)
+    g0, g1, g2 = [], [], []
+    for a, g, d in gp.terms:
+        if (arg := g * z + d) <= 0.0:
+            raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
+        if a:
+            g0.append(a * math.log(arg))
+            g1.append(a * g / arg)
+            g2.append(a * g * g / (arg * arg))
+    return math.fsum(g0), math.fsum(g1), -math.fsum(g2)
 
 
 def eval_g_value(gp: GProblem, z) -> float:
     """g alone: ``eval_g(gp, z)[0]`` bit for bit (same terms, same fsum)."""
-    return math.fsum([a * math.log(arg) for a, _g, arg in _arguments(gp, z)])
+    z = _in_domain(gp, z)
+    g0 = []
+    for a, g, d in gp.terms:
+        if (arg := g * z + d) <= 0.0:
+            raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
+        if a:
+            g0.append(a * math.log(arg))
+    return math.fsum(g0)
 
 
 def eval_g_slope(gp: GProblem, z) -> float:
     """g' alone: ``eval_g(gp, z)[1]`` bit for bit (same terms, same fsum)."""
-    return math.fsum([a * g / arg for a, g, arg in _arguments(gp, z)])
+    z = _in_domain(gp, z)
+    g1 = []
+    for a, g, d in gp.terms:
+        if (arg := g * z + d) <= 0.0:
+            raise OutOfDomain(f"argument for slope {g} vanished at z={z}")
+        if a:
+            g1.append(a * g / arg)
+    return math.fsum(g1)
 
 
 def _limit(gp: GProblem, side: str) -> tuple[str, float]:
@@ -270,8 +281,9 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _derivative_numerator(gp: GProblem) -> list[int]:
-    """Square-free integer polynomial with the zeros of g' inside the interval.
+def _derivative_numerator(gp: GProblem) -> list[list[int]]:
+    """Sturm chain of the square-free integer polynomial (its first member)
+    with the zeros of g' inside the interval.
 
     Per pole group, residue r_j != 0 at u_j / v_j: g' = N / prod_j (v_j z - u_j)
     with N = sum_i r_i v_i prod_{j != i} (v_j z - u_j), no pole inside the
@@ -284,13 +296,14 @@ def _derivative_numerator(gp: GProblem) -> list[int]:
         for u, v, _r in groups[:i] + groups[i + 1:]:  # term *= (v z - u)
             term = [-u * term[0]] + [v * c - u * d for c, d in zip(term, term[1:])] + [v * term[-1]]
         num = [n + t for n, t in zip(num, term)]
-    p = _primitive(num)
-    if len(p) > 2 and len(common := _sturm_chain(p)[-1]) > 1:
-        p = _primitive(_pseudo_divmod(p, common)[0])
+    chain = _sturm_chain(_primitive(num))
+    p = chain[0]
+    if len(chain[-1]) > 1:  # gcd(N, N'): repeated roots
+        p = _primitive(_pseudo_divmod(p, chain[-1])[0])
     for end in (gp.lower_exact, gp.upper_exact):
         if end is not None and len(p) > 1 and _sign_at(p, end) == 0:
             p = _primitive(_pseudo_divmod(p, [-end.numerator, end.denominator])[0])
-    return p
+    return chain if p is chain[0] else _sturm_chain(p)
 
 
 def bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
@@ -331,13 +344,14 @@ def bracketed_root(f, f_and_slope, lo: float, hi: float) -> float:
     return z
 
 
-def _isolate(p: list[int], lo: Fraction | None, hi: Fraction | None) -> Iterator[tuple[Fraction, Fraction]]:
+def _isolate(chain: list[list[int]], lo: Fraction | None, hi: Fraction | None) -> Iterator[tuple[Fraction, Fraction]]:
     """Sorted intervals ``(a, b]`` in ``(lo, hi]``, one root of the square-free
-    ``p`` (degree >= 1) in each; a ``None`` end (not both) is the Cauchy bound.
+    ``p = chain[0]`` (degree >= 1, ``chain`` its ``_sturm_chain``) in each; a
+    ``None`` end (not both) is the Cauchy bound.
 
     By Sturm, ``(a, b]`` holds ``variations(a) - variations(b)`` roots: halve until one each.
     """
-    chain = _sturm_chain(p)
+    p = chain[0]
     bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # Cauchy: every root has |z| < bound
     lo = Fraction(min(-bound, hi - 1) if lo is None else lo)
     hi = Fraction(max(bound, lo + 1) if hi is None else hi)

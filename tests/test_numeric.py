@@ -22,7 +22,8 @@ from crn1d import (
     parse_network,
     verify_witness,
 )
-from crn1d.numeric import _narrow
+from crn1d import numeric
+from crn1d.numeric import _narrow, bracketed_root
 
 from support import CLUSTERED, DOUBLE_ZERO, END_ROOT, FLAT_TAIL, exact_critical_count
 
@@ -55,8 +56,11 @@ class TestGProblem:
             GProblem((1, 1), (1, -1), (-1, -1))
 
     def test_weighted_fixed_species_needs_positive_offset(self):
-        with pytest.raises(EmptyInterval):
+        with pytest.raises(EmptyInterval, match="^a fixed species with weight needs a positive offset$"):
             GProblem((1,), (0,), (0,))
+        # without weight it has no positive concentration either: every read would fail
+        with pytest.raises(EmptyInterval, match="^a fixed species without weight needs a positive offset$"):
+            GProblem((1, 0), (1, 0), (1, -1))
 
     def test_rejects_weird_offsets(self):
         with pytest.raises(ValueError):
@@ -86,6 +90,16 @@ class TestEvalG:
                 evaluate(gp, 1.0)
             with pytest.raises(OutOfDomain):
                 evaluate(gp, -2.0)
+
+    def test_weightless_species_bounds_the_domain(self):
+        # the species without weight has its pole at -1/69, just above the
+        # float lower end: its argument is not positive one ulp inside
+        gp = GProblem((1, 0), (-1, 3), (5, Fraction(1, 23)))
+        z = math.nextafter(gp.lower, math.inf)
+        for evaluate in (eval_g, eval_g_value, eval_g_slope):
+            with pytest.raises(OutOfDomain) as info:
+                evaluate(gp, z)
+            assert str(info.value) == "argument for slope 3 vanished at z=-0.014492753623188404"
 
     def test_warm_problem_does_no_exact_arithmetic(self, monkeypatch):
         # domain (-1, 8/15); a species without weight and a fixed one ride along
@@ -131,6 +145,24 @@ class TestCriticalPoints:
     def test_zero_at_an_end_is_not_a_point(self):
         # the numerator of g' vanishes at the upper end z = 1
         assert critical_points(END_ROOT) == ()
+
+    def test_one_sturm_chain_per_numerator(self, monkeypatch):
+        chains = []
+        sturm_chain = numeric._sturm_chain
+
+        def counted(p):
+            chains.append(p)
+            return sturm_chain(p)
+
+        monkeypatch.setattr(numeric, "_sturm_chain", counted)
+        # square free, no root at an end: the square-free test's chain is reused
+        assert len(critical_points(GProblem(GB_LIKE.alphas, GB_LIKE.gammas, GB_LIKE.offsets))) == 2
+        assert len(chains) == 1
+        # a division (repeated root, root at an end) builds the divided one's chain
+        for gp, want in ((DOUBLE_ZERO, 1), (END_ROOT, 0)):
+            chains.clear()
+            assert len(critical_points(GProblem(gp.alphas, gp.gammas, gp.offsets))) == want
+            assert len(chains) == 2
 
     def test_narrowing_ends(self):
         # 1/3 has no binary64 form: the halvings stop with it between two neighbours
@@ -194,6 +226,10 @@ class TestFindRoots:
         assert rs.roots == pytest.approx(
             (-1 / math.sqrt(2), 1 / math.sqrt(2)), rel=1e-14
         )
+
+    def test_bisection_stops_on_an_exact_zero(self):
+        # the first midpoint reads exactly 0.0
+        assert bracketed_root(lambda z: z - 0.5, lambda z: (z - 0.5, 1.0), 0.0, 1.0) == 0.5
 
 
 class TestOracle:

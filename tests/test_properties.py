@@ -13,6 +13,7 @@ from crn1d import (
     ConstantG,
     CrnError,
     GProblem,
+    OutOfDomain,
     ad_count,
     canonical_key,
     capacity_class_bi,
@@ -42,6 +43,7 @@ from support import (
     DOUBLE_ZERO,
     END_ROOT,
     FLAT_TAIL,
+    _g_value,
     _poly_mul,
     _roots_in_window,
     _sign_at,
@@ -311,6 +313,29 @@ class TestEvaluators:
             assert eval_g_value(gp, z).hex() == g.hex()
             assert eval_g_slope(gp, z).hex() == g1.hex()
 
+    @given(seeds, st.booleans(), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    def test_value_matches_support_inside_the_interval(self, seed, clustered, spots):
+        # bit for bit where every argument is positive, OutOfDomain exactly
+        # where one is not (a few ulps from a pole, weighted species or not)
+        rng = Random(seed)
+        gp = clustered_gproblem(rng)[0] if clustered else random_gproblem(rng)
+        lo = gp.lower if math.isfinite(gp.lower) else -1e3
+        hi = gp.upper if math.isfinite(gp.upper) else 1e3
+        points = [lo + t * (hi - lo) for t in spots]
+        for end, inward in ((gp.lower, math.inf), (gp.upper, -math.inf)):
+            for _ in range(4 if math.isfinite(end) else 0):
+                end = math.nextafter(end, inward)
+                points.append(end)
+        for z in points:
+            if not gp.lower < z < gp.upper:
+                continue
+            want = _g_value(gp, z)
+            if want is None:
+                with pytest.raises(OutOfDomain):
+                    eval_g_value(gp, z)
+            else:
+                assert eval_g_value(gp, z).hex() == want.hex()
+
 
 class TestGProblemCache:
     @given(seeds)
@@ -441,10 +466,12 @@ def _positive_multiple(ints, ref) -> bool:
 
 
 def assert_chain_matches_euclid(gp):
-    p, ref = _derivative_numerator(gp), _euclid_numerator(gp)
+    chain = _derivative_numerator(gp)
+    p, ref = chain[0], _euclid_numerator(gp)
     assert _positive_multiple(p, ref), (p, ref)
     if len(p) > 1:
-        chain, ref_chain = _sturm_chain(p), _euclid_chain(ref)
+        assert chain == _sturm_chain(p)  # the chain handed to _isolate is the numerator's own
+        ref_chain = _euclid_chain(ref)
         assert len(chain) == len(ref_chain)
         for q, ref_q in zip(chain, ref_chain):
             assert _positive_multiple(q, ref_q), (q, ref_q)
@@ -470,7 +497,7 @@ def assert_isolates(p, lo, hi) -> int:
     """``_isolate``'s intervals are sorted, disjoint and inside the window,
     each holds one root by the independent counter in ``support`` and each
     narrows to adjacent floats or an exact root; returns their number."""
-    intervals = list(_isolate(p, lo, hi))
+    intervals = list(_isolate(_sturm_chain(p), lo, hi))
     for (a, b), (c, _d) in zip(intervals, intervals[1:]):
         assert b <= c
     for a, b in intervals:
@@ -511,7 +538,7 @@ class TestCriticalPoints:
     @given(seeds)
     def test_isolation_of_the_numerator(self, seed):
         gp = random_gproblem(Random(seed))
-        p = _derivative_numerator(gp)
+        p = _derivative_numerator(gp)[0]
         count = assert_isolates(p, gp.lower_exact, gp.upper_exact) if len(p) > 1 else 0
         assert count == exact_critical_count(gp)
 
