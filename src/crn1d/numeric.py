@@ -532,9 +532,11 @@ def _interior_start(gp: GProblem) -> float:
 
 # ---------------------------------------------------------------------------
 # Independent oracle.  Separate compactification, separate evaluation path:
-# this code must not share root-finding logic with find_roots.  numpy is
-# imported inside each function: nothing else in the package uses it, and
-# loading it would double the start-up of every CLI command.
+# this code must not share root-finding logic with find_roots.  The grid is
+# evaluated in one pass, and each crossing is bisected with the grid's own
+# arithmetic.  numpy is imported inside each function: nothing else in the
+# package uses it, and loading it would double the start-up of every CLI
+# command.
 
 
 def _oracle_arrays(gp: GProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -575,19 +577,19 @@ def _oracle_grid(gp: GProblem, arrays, K: float, n: int) -> np.ndarray:
     import numpy as np
 
     lo, hi = gp.lower, gp.upper
-    geo = 2.0 ** -np.arange(3, 121)
     if math.isfinite(lo) and math.isfinite(hi):
         w = hi - lo
+        geo = 2.0 ** -np.arange(3, 121)
         core = lo + w * np.linspace(1.0 / (n + 1), 1.0, n, endpoint=False)
-        z = np.concatenate([core, lo + w * geo, hi - w * geo])
+        z = np.concatenate([core, lo + w * geo[::-1], hi - w * geo])
     elif math.isfinite(lo):
         z = lo + _log_offsets(lo, _oracle_tail(arrays, K, lo, True), n)
-    elif math.isfinite(hi):
-        z = hi - _log_offsets(hi, _oracle_tail(arrays, K, hi, False), n)
-    else:
-        raise ConstantG("g has no poles; it is constant on the whole line")
-    z = np.unique(z)
-    return z[(z > lo) & (z < hi)]
+    else:  # hi is finite: oracle_count refuses a g without poles
+        z = hi - _log_offsets(hi, _oracle_tail(arrays, K, hi, False), n)[::-1]
+    z = np.sort(z, kind="stable")
+    inside = (z > lo) & (z < hi)
+    inside[1:] &= z[1:] != z[:-1]
+    return z[inside]
 
 
 def _oracle_g(arrays, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -595,13 +597,16 @@ def _oracle_g(arrays, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     a, g, d = arrays
-    args = g[:, None] * z[None, :] + d[:, None]
+    args = np.multiply.outer(g, z)
+    args += d[:, None]
     ok = (args > 0.0).all(axis=0)
-    z = z[ok]
-    args = args[:, ok]
+    if not ok.all():  # compress keeps args C-ordered; the sum order of @ follows it
+        z = z[ok]
+        args = np.compress(ok, args, axis=1)
     keep = a != 0.0
-    vals = a[keep] @ np.log(args[keep, :]) if keep.any() else np.zeros(len(z))
-    return z, vals
+    if not keep.all():
+        a, args = a[keep], args[keep]
+    return z, a @ np.log(args, out=args)
 
 
 def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
@@ -611,8 +616,13 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
     cross-checking the root finder.  Close crossings are deduplicated after
     a local bisection refinement.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ModuleNotFoundError as exc:
+        raise ImportError('oracle_count needs numpy: pip install "crn1d[oracle]"') from exc
 
+    if type(samples) is not int or samples < 1:
+        raise ValueError("samples must be a positive integer")
     K = float(K)
     if is_constant(gp):
         raise ConstantG("every pole group of g' has zero residue")
@@ -623,6 +633,10 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
     idx = np.nonzero(f == 0.0)[0]
     roots.extend(float(z[i]) for i in idx)
     sign_change = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
+    # Float products and sums are monotone: every argument at a midpoint stays positive.
+    a, g, d = arrays
+    keep = a != 0.0
+    a, g, d = a[keep], g[keep, None], d[keep, None]
     for i in sign_change:
         lo, hi = float(z[i]), float(z[i + 1])
         flo = float(f[i])
@@ -630,10 +644,7 @@ def oracle_count(gp: GProblem, K, samples: int = 200_001) -> int:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            _zz, vv = _oracle_g(arrays, np.array([mid]))
-            if len(vv) == 0:
-                break
-            fm = float(vv[0]) - K
+            fm = (a @ np.log(g * mid + d))[0] - K
             if fm == 0.0:
                 lo = hi = mid
                 break

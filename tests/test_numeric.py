@@ -1,6 +1,7 @@
 """The scalar reduction: domains, evaluation, roots, oracle, verifier."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,21 @@ class TestOracle:
         assert oracle_count(GB_LIKE, g0 + 1.0) == 1
         gp = GProblem((1, 1), (1, -1), (1, 1))
         assert oracle_count(gp, -math.log(2.0)) == 2
+
+    def test_samples_must_be_a_positive_integer(self):
+        gp = GProblem((1, -2), (1, 1), (1, 2))
+        assert oracle_count(gp, -2.0) == 2
+        assert oracle_count(gp, -2.0, samples=1) in (0, 1, 2)
+        one_sided = GProblem((1,), (1,), (1,))
+        for samples in (0, -1, 2.5, 200_001.0, True, "7"):
+            for problem in (gp, one_sided):
+                with pytest.raises(ValueError, match="samples must be a positive integer"):
+                    oracle_count(problem, -2.0, samples=samples)
+
+    def test_without_numpy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ImportError, match=r'pip install "crn1d\[oracle\]"'):
+            oracle_count(GB_LIKE, 0.0)
 
 
 class TestVerifyWitness:

@@ -337,6 +337,83 @@ class TestEvaluators:
                 assert eval_g_value(gp, z).hex() == want.hex()
 
 
+def _unique_grid(gp, arrays, K, n):
+    """The oracle's grid built with np.unique: the reference for _oracle_grid."""
+    import numpy as np
+
+    lo, hi = gp.lower, gp.upper
+    geo = 2.0 ** -np.arange(3, 121)
+    if math.isfinite(lo) and math.isfinite(hi):
+        w = hi - lo
+        core = lo + w * np.linspace(1.0 / (n + 1), 1.0, n, endpoint=False)
+        z = np.concatenate([core, lo + w * geo, hi - w * geo])
+    elif math.isfinite(lo):
+        z = lo + numeric._log_offsets(lo, numeric._oracle_tail(arrays, K, lo, True), n)
+    else:
+        z = hi - numeric._log_offsets(hi, numeric._oracle_tail(arrays, K, hi, False), n)
+    z = np.unique(z)
+    return z[(z > lo) & (z < hi)]
+
+
+def _plain_oracle_g(arrays, z):
+    """g on the grid by boolean indexing and fresh copies: the reference for _oracle_g."""
+    import numpy as np
+
+    a, g, d = arrays
+    args = g[:, None] * z[None, :] + d[:, None]
+    ok = (args > 0.0).all(axis=0)
+    keep = a != 0.0
+    return z[ok], a[keep] @ np.log(args[:, ok][keep, :])
+
+
+class TestOracleGrid:
+    """The oracle's grid and its values are the plain constructions' floats, bit for bit."""
+
+    def draws(self):
+        rng = Random("oracle-grid")
+        draws = [(random_gproblem(rng), rng.uniform(-30.0, 30.0)) for _ in range(60)]
+        draws += [clustered_gproblem(rng) for _ in range(10)]
+        # one-sided with a large |end|: the smallest offsets collapse into duplicates
+        far = Fraction(10**15)
+        draws += [(GProblem((1,), (1,), (far,)), 0.0), (GProblem((2, -1), (-1, 0), (far, 3)), 5.0)]
+        return draws
+
+    def test_grid_matches_unique(self):
+        n = 3001
+        shapes = set()
+        for gp, K in self.draws():
+            arrays = numeric._oracle_arrays(gp)
+            got = numeric._oracle_grid(gp, arrays, K, n)
+            assert got.tobytes() == _unique_grid(gp, arrays, K, n).tobytes(), gp
+            shapes.add((math.isfinite(gp.lower), math.isfinite(gp.upper)))
+            if abs(gp.lower) == 1e15 or abs(gp.upper) == 1e15:
+                assert len(got) < n - 100
+        assert shapes == {(True, True), (True, False), (False, True)}
+
+    def test_out_of_domain_points_change_no_value(self):
+        import numpy as np
+
+        # No alpha is 0 here, so nothing copies the argument matrix after the
+        # domain mask.  Were that mask applied by boolean column indexing, the
+        # matrix would be F-ordered, and the product with the alphas would
+        # change 836 of this draw's 2,105 values.
+        fixed = GProblem((4, 3, 3, 4), (3, 1, -2, -2), (Fraction(61, 3), Fraction(13, 8), 13, 12))
+        for gp, K in [(fixed, 0.0)] + self.draws():
+            arrays = numeric._oracle_arrays(gp)
+            z = numeric._oracle_grid(gp, arrays, K, 2001)
+            outside = [
+                end + side * step
+                for end, side in ((gp.lower, -1.0), (gp.upper, 1.0))
+                if math.isfinite(end)
+                for step in (1.0, 0.25 * (1.0 + abs(end)))
+            ]
+            mixed = np.concatenate([z[:7], outside, z[7:]])
+            want_z, want = _plain_oracle_g(arrays, z)
+            for got_z, got in (numeric._oracle_g(arrays, z), numeric._oracle_g(arrays, mixed)):
+                assert got_z.tobytes() == want_z.tobytes(), gp
+                assert got.tobytes() == want.tobytes(), gp
+
+
 class TestGProblemCache:
     @given(seeds)
     def test_cache_is_invisible(self, seed):
