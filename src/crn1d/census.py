@@ -52,7 +52,7 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
     d2 = tuple(c2 * v for v in e)
     ranges1 = [range(max(0, -d1[k]), bound - max(0, d1[k]) + 1) for k in range(species)]
     ranges2 = [range(max(0, -d2[k]), bound - max(0, d2[k]) + 1) for k in range(species)]
-    seconds = [(a2, tuple(sorted(a2))) for a2 in product(*ranges2)]
+    seconds = [(a2, tuple(sorted(a2)), tuple(a + d for a, d in zip(a2, d2))) for a2 in product(*ranges2)]
     unchanged = [k for k in range(species) if e[k] == 0]
     for a1 in product(*ranges1):
         p1 = tuple(a + d for a, d in zip(a1, d1))
@@ -61,10 +61,9 @@ def _cell_networks(species: int, bound: int, e, c1: int, c2: int):
             continue
         ties = [k for k in range(species - 1) if columns[k] == columns[k + 1]]
         absent = [k for k in unchanged if a1[k] == 0]  # the second reaction must use these
-        for a2, swapped in seconds:
+        for a2, swapped, p2 in seconds:
             if swapped < a1 or any(a2[k] > a2[k + 1] for k in ties) or not all(a2[k] for k in absent):
                 continue
-            p2 = tuple(a + d for a, d in zip(a2, d2))
             pair = ((a1, p1), (a2, p2))
             if swapped == a1 and (a2 == a1 and d2 == d1 or canonical_key(pair) != (a1 + p1, a2 + p2)):
                 continue
@@ -92,34 +91,34 @@ def cell_records(cell) -> list[tuple[str, str]]:
     lambda2)``, so within the cell it depends only on ``alphas``: the
     capacity (the same ladder :func:`classify` runs) and the bi-arrow count
     are computed once per distinct ``alphas`` and are exact for every
-    network sharing it.  The bi-arrow count is the number of species in
-    S1..S4 when the two reactions are opposed (one pair, embedding on each
-    such species) and 0 otherwise.
+    network sharing it.  When ``c1*c2 > 0`` the ladder stops at its first
+    rung, which reads only lambda2, so it runs once for the whole cell.
+    The bi-arrow count is the number of species in S1..S4 when the two
+    reactions are opposed (one pair, embedding on each such species) and 0
+    otherwise.  Each line is ``json.dumps(record, sort_keys=True)`` put
+    together from cached pieces: the keys sort as ad, network, rule, tag.
     """
     species, _, e, c1, c2 = cell
     names = tuple(f"X{k + 1}" for k in range(species))
-    lambda2 = Fraction(c2, c1)
+    lambda2, opposed = Fraction(c2, c1), c1 * c2 < 0
     gammas = tuple(c1 * v for v in e)
-    derived: dict[tuple[int, ...], tuple[str, str, int]] = {}  # alphas -> (tag, rule, ad)
-    texts: dict[tuple, str] = {}  # (reactant, product) -> .crn line
+    derived: dict[tuple | None, tuple[str, str, str]] = {}  # alphas (None: same sign) -> tag, head, tail
+    texts: dict[tuple, str] = {}  # (reactant, product) -> its .crn line as a JSON string
     out = []
     for first, second in _cell_networks(*cell):
         alphas = tuple(a - b for a, b in zip(first[0], second[0]))
-        fields = derived.get(alphas)
+        key = alphas if opposed else None
+        fields = derived.get(key)
         if fields is None:
             profile = sign_profile(alphas, gammas, lambda2)
             capacity = capacity_class_bi(profile)
-            ad = sum(map(len, profile.sets[:4])) if lambda2 < 0 else 0
-            fields = derived[alphas] = (capacity.tag, capacity.rule, ad)
-        tag, rule, ad = fields
+            ad = sum(map(len, profile.sets[:4])) if opposed else 0
+            head = f'{{"ad": {ad}, "network": ['
+            tail = f'], "rule": {json.dumps(capacity.rule)}, "tag": {json.dumps(capacity.tag)}}}'
+            fields = derived[key] = (capacity.tag, head, tail)
+        tag, head, tail = fields
         for rx in (first, second):
             if rx not in texts:
-                texts[rx] = format_reaction(*rx, names)
-        record = {
-            "network": [texts[first], texts[second]],
-            "tag": tag,
-            "rule": rule,
-            "ad": ad,
-        }
-        out.append((tag, json.dumps(record, sort_keys=True)))
+                texts[rx] = json.dumps(format_reaction(*rx, names))
+        out.append((tag, head + texts[first] + ", " + texts[second] + tail))
     return out

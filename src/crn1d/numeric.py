@@ -566,11 +566,13 @@ def _oracle_tail(arrays, K: float, end: float, up: bool) -> float:
 
 def _log_offsets(end: float, reach: float, n: int) -> np.ndarray:
     """Log-uniform distances from a finite endpoint, from below float
-    granularity at that endpoint out to ``reach``."""
+    granularity at that endpoint out to ``reach``, after the distances to
+    the floats next to it on either side (one of them is inside)."""
     import numpy as np
 
     eps0 = max((1.0 + abs(end)) * 1e-20, abs(end) * 4e-16)
-    return np.exp(np.linspace(math.log(eps0), math.log(reach), n))
+    nearest = [math.nextafter(end, math.inf) - end, end - math.nextafter(end, -math.inf)]
+    return np.concatenate([nearest, np.exp(np.linspace(math.log(eps0), math.log(reach), n))])
 
 
 def _oracle_grid(gp: GProblem, arrays, K: float, n: int) -> np.ndarray:

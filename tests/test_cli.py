@@ -21,11 +21,14 @@ from crn1d import (
     census,
     ReactionNetwork,
     canonical_key,
+    capacity_class_bi,
     classify,
     enumerate_bi_networks,
     format_network,
+    format_reaction,
     main,
     parse_network,
+    sign_profile,
 )
 
 from conftest import DATA
@@ -531,6 +534,28 @@ class TestEnumerate:
             assert (record["tag"], record["rule"], record["ad"]) == (
                 report.capacity.tag, report.capacity.rule, report.ad.total,
             ), line
+
+    @pytest.mark.parametrize("species,bound", [(3, 2), (2, 3)])
+    def test_cell_lines(self, species, bound):
+        # each line is the sorted-key json.dumps of its record, and a record
+        # of a same-sign cell is what the ladder gives for its own alphas
+        names = tuple(f"X{k + 1}" for k in range(species))
+        for cell in census.cells(species, bound):
+            _, _, e, c1, c2 = cell
+            records = census.cell_records(cell)
+            for (tag, line), pair in zip(records, census._cell_networks(*cell), strict=True):
+                record = json.loads(line)
+                assert line == json.dumps(record, sort_keys=True) and tag == record["tag"]
+                if c1 * c2 < 0:
+                    continue
+                alphas = tuple(a - b for a, b in zip(pair[0][0], pair[1][0]))
+                capacity = capacity_class_bi(sign_profile(alphas, tuple(c1 * v for v in e), Fraction(c2, c1)))
+                assert record == {
+                    "network": [format_reaction(*rx, names) for rx in pair],
+                    "tag": capacity.tag,
+                    "rule": capacity.rule,
+                    "ad": 0,
+                }, line
 
     @pytest.mark.parametrize("species,bound", [(2, 3), (3, 2)])
     def test_generator_matches_records(self, capsys, tmp_path, species, bound):

@@ -252,6 +252,16 @@ class TestOracle:
                 with pytest.raises(ValueError, match="samples must be a positive integer"):
                     oracle_count(problem, -2.0, samples=samples)
 
+    @pytest.mark.parametrize("gammas", [(1, 3, 3, 3), (-1, -3, -3, -3)])
+    def test_crossing_next_to_a_finite_end(self, gammas):
+        # float g - K changes sign between the floats 1 and 2 ulps inside the
+        # finite end, closer than the log-spaced points reach; the second
+        # problem is the first mirrored, z -> -z
+        gp = GProblem((4, 4, 3, -1), gammas, (Fraction(23, 4), Fraction(26, 3), 7, Fraction(47, 7)))
+        K = 38.04633806025794
+        assert oracle_count(gp, K, samples=30_001) == 2
+        assert oracle_count(gp, K) == 2
+
     def test_without_numpy_names_the_extra(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ImportError, match=r'pip install "crn1d\[oracle\]"'):
